@@ -62,10 +62,11 @@ class SymTridiag:
             r[1:] += np.abs(self.offdiag)
         return float(np.max(np.abs(self.diag) + r))
 
-    def is_persymmetric(self, tol: float = 0.0) -> bool:
+    def is_persymmetric(self) -> bool:
+        """Exact mirror symmetry of the diagonal and the couplings."""
         return bool(
-            np.all(np.abs(self.diag - self.diag[::-1]) <= tol)
-            and np.all(np.abs(self.offdiag - self.offdiag[::-1]) <= tol)
+            np.array_equal(self.diag, self.diag[::-1])
+            and np.array_equal(self.offdiag, self.offdiag[::-1])
         )
 
 

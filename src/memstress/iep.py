@@ -48,26 +48,25 @@ class RetunePlan:
         return math.pi / self.t
 
 
-def retune_eigenvalues(
-    s: SpectralData, t: float, min_time_factor: float = MIN_TIME_FACTOR
-) -> RetunePlan:
+def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:
     """Snap the spectrum onto the pi/t grid with the parity pattern sign(a).
 
     Grid phases are all +-1 at time t, so only the parity of each grid index
     matters.  Level 0 anchors the global phase; any level whose parity
     disagrees moves one step toward the side it was rounded away from, which
     keeps every shift within one grid interval of the original eigenvalue.
+    t must be at least MIN_TIME_FACTOR * pi / min_gap.
     """
     lam = s.eigenvalues
     a = s.amplitudes
     if np.any(a == 0.0):
         raise ValueError("degenerate amplitude: some a_i is exactly zero")
     if s.dim >= 2:
-        bound = min_time_factor * math.pi / min_gap(s)
+        bound = MIN_TIME_FACTOR * math.pi / min_gap(s)
         if t < bound:
             raise ValueError(
                 f"t = {t:g} below the enforced bound {bound:g} "
-                f"(= {min_time_factor:g} * pi / min_gap)"
+                f"(= {MIN_TIME_FACTOR:g} * pi / min_gap)"
             )
     elif t <= 0.0:
         raise ValueError("t must be positive")
@@ -155,19 +154,12 @@ def mirror_symmetric_weights(eigenvalues: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def retune_chain(
-    m: SymTridiag,
-    t: float,
-    weights: str = "persymmetric",
-    min_time_factor: float = MIN_TIME_FACTOR,
-) -> tuple[SymTridiag, RetunePlan]:
+def retune_chain(m: SymTridiag, t: float) -> tuple[SymTridiag, RetunePlan]:
     """Retune a mirror-symmetric chain for perfect transfer at time t.
 
-    weights="persymmetric" (default) rebuilds the unique mirror-symmetric
-    chain with the retuned spectrum, so F(t) = 1 up to roundoff.
-    weights="preserve" carries the original spectral weights through
-    unchanged; the output then matches the input more closely but its
-    fidelity deficit grows to ~1e-5 for short chains.
+    The spectrum is snapped by retune_eigenvalues and the unique
+    mirror-symmetric chain with the retuned spectrum is rebuilt from
+    mirror_symmetric_weights, so F(t) = 1 up to roundoff.
     """
     if not m.is_persymmetric():
         raise ValueError(
@@ -176,14 +168,6 @@ def retune_chain(
         )
     if m.dim >= 2 and np.any(m.offdiag == 0.0):
         raise ValueError("persymmetric retuning needs nonzero couplings")
-    if weights not in ("persymmetric", "preserve"):
-        raise ValueError(f"unknown weight mode {weights!r}")
-    s = eigh_tridiag(m)
-    plan = retune_eigenvalues(s, t, min_time_factor=min_time_factor)
-    if weights == "persymmetric":
-        w = mirror_symmetric_weights(plan.retuned)
-    else:
-        w = s.first_components**2
-        w = w / w.sum()
-    rebuilt = reconstruct_jacobi(plan.retuned, w)
+    plan = retune_eigenvalues(eigh_tridiag(m), t)
+    rebuilt = reconstruct_jacobi(plan.retuned, mirror_symmetric_weights(plan.retuned))
     return rebuilt, plan

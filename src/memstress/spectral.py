@@ -35,6 +35,7 @@ __all__ = [
     "NumericalError",
     "eigh_tridiag",
     "eigh_dense_symmetric",
+    "check_dense_symmetric",
     "min_gap",
 ]
 
@@ -234,8 +235,9 @@ def _block_split(diag: np.ndarray, off: np.ndarray, zeros: np.ndarray) -> Spectr
     return SpectralData(lam, first, last)
 
 
-def eigh_dense_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric eigensolve with the same ordering and sign rules."""
+def check_dense_symmetric(a: np.ndarray) -> np.ndarray:
+    """The matrix as a float array; ValueError unless square, within
+    ``DENSE_DIM_CAP`` and symmetric to 1e-13."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -243,6 +245,12 @@ def eigh_dense_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension {a.shape[0]} exceeds cap {DENSE_DIM_CAP}")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-13:
         raise ValueError("matrix is not symmetric to 1e-13")
+    return a
+
+
+def eigh_dense_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric eigensolve with the same ordering and sign rules."""
+    a = check_dense_symmetric(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

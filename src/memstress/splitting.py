@@ -4,8 +4,9 @@ String tension shows up as eigenvalue pairs that stay degenerate until a
 high order in the hopping strength: the pair at ramp position i of an
 M-state chain only splits at order M+1-2i (order ceil((M+1-2i)/k) for a
 k-banded perturbation).  The splittings shrink below double precision almost
-immediately, so eigenvalues are also computed by bisection on extended
-precision Sturm / inertia counts.
+immediately, so eigenvalues are also computed at extended precision by
+bisection on one band LDL^T inertia count: a tridiagonal chain is
+bandwidth 1, a k-banded perturbation bandwidth k, and a count costs O(M k^2).
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import mpmath as mp
 import numpy as np
 
 from .effective import SymTridiag
-from .spectral import NumericalError, eigh_dense_symmetric, eigh_tridiag
+from .spectral import (
+    NumericalError,
+    check_dense_symmetric,
+    eigh_dense_symmetric,
+    eigh_tridiag,
+)
 
 __all__ = [
     "SplittingFit",
@@ -78,49 +84,43 @@ def plateau_spectrum(N: int, delta: float) -> np.ndarray:
     return 2.0 * (N + 1) + 2.0 * delta * np.cos(i * math.pi / (P + 1))
 
 
-def _sturm_count(diag, off, x) -> int:
-    """Eigenvalues of the tridiagonal matrix strictly below x (mpmath)."""
-    count = 0
-    d = mp.mpf(1)
-    tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
-    for k in range(len(diag)):
-        b2 = off[k - 1] ** 2 if k > 0 else mp.mpf(0)
-        d = (diag[k] - x) - b2 / d
-        if d == 0:
-            d = tiny
-        if d < 0:
-            count += 1
-    return count
+def _band_inertia(bands, x) -> int:
+    """Eigenvalues strictly below x: negative pivots of the band LDL^T of T - x.
 
-
-def _inertia_count(a, x) -> int:
-    """Eigenvalues below x via the LDL^T inertia of a dense mpmath matrix."""
-    m = a.rows
-    b = a - x * mp.eye(m)
+    bands[0] is the diagonal and bands[b] the b-th superdiagonal (lists of
+    mpf).  Elimination without pivoting keeps every fill-in inside the band,
+    so the count costs O(M k^2) for bandwidth k; by Sylvester's law of
+    inertia it is the Sturm count when k = 1.  An exactly zero pivot is
+    replaced by a tiny positive one.
+    """
+    m = len(bands[0])
+    k = len(bands) - 1
+    # zero-padded past the matrix edge, so every step runs the same updates
+    work = [[v - x for v in bands[0]]] + [list(band) for band in bands[1:]]
+    for band in work:
+        band.extend([mp.mpf(0)] * (m + k - len(band)))
+    # elimination of row i subtracts u_j u_c / pivot from entry (i+j, i+c)
+    updates = [(c - j, j, c) for j in range(1, k + 1) for c in range(j, k + 1)]
+    diag = work[0]
     tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
     count = 0
     for i in range(m):
-        piv = b[i, i]
+        piv = diag[i]
         if piv == 0:
             piv = tiny
         if piv < 0:
             count += 1
-        inv = 1 / piv
-        for j in range(i + 1, m):
-            f = b[j, i] * inv
-            if f == 0:
-                continue
-            for k in range(i, m):
-                b[j, k] -= f * b[i, k]
+        for dst, j, c in updates:
+            work[dst][i + j] -= work[j][i] * work[c][i] / piv
     return count
 
 
-def _bisect_eigenvalue(counter: Callable, k: int, lo, hi, tol):
+def _bisect_eigenvalue(bands, k: int, lo, hi, tol):
     lo = mp.mpf(lo)
     hi = mp.mpf(hi)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if counter(mid) >= k + 1:
+        if _band_inertia(bands, mid) >= k + 1:
             hi = mid
         else:
             lo = mid
@@ -128,26 +128,28 @@ def _bisect_eigenvalue(counter: Callable, k: int, lo, hi, tol):
 
 
 def tridiag_eigenvalue_mp(m: SymTridiag, k: int, dps: int = DEFAULT_DPS):
-    """k-th ascending eigenvalue (0-based) by Sturm bisection at dps digits."""
+    """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits."""
     with mp.workdps(dps):
-        diag = [mp.mpf(x) for x in m.diag]
-        off = [mp.mpf(x) for x in m.offdiag]
+        bands = [[mp.mpf(x) for x in m.diag], [mp.mpf(x) for x in m.offdiag]]
         radius = mp.mpf(m.norm_estimate()) + 1
         tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
-        return _bisect_eigenvalue(
-            lambda x: _sturm_count(diag, off, x), k, -radius, radius, tol
-        )
+        return _bisect_eigenvalue(bands, k, -radius, radius, tol)
 
 
 def dense_eigenvalue_mp(a: np.ndarray, k: int, dps: int = DEFAULT_DPS):
-    """k-th ascending eigenvalue of a dense symmetric matrix, mpmath inertia."""
+    """k-th ascending eigenvalue of a symmetric matrix, bisected on its band.
+
+    The bandwidth is the farthest diagonal holding a nonzero entry.  Raises
+    ValueError unless the matrix is square and symmetric to 1e-13.
+    """
+    a = check_dense_symmetric(a)
+    rows, cols = np.nonzero(a)
+    width = int(np.max(np.abs(rows - cols), initial=0))
     with mp.workdps(dps):
-        m = mp.matrix(a.tolist())
+        bands = [[mp.mpf(x) for x in np.diagonal(a, b)] for b in range(width + 1)]
         radius = mp.mpf(float(np.max(np.sum(np.abs(a), axis=1)))) + 1
         tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
-        return _bisect_eigenvalue(
-            lambda x: _inertia_count(m.copy(), x), k, -radius, radius, tol
-        )
+        return _bisect_eigenvalue(bands, k, -radius, radius, tol)
 
 
 def _pair_splitting(matrix, pair: tuple[int, int], dps: int) -> float:

@@ -157,17 +157,6 @@ def test_retune_chain_shift_halves_when_t_doubles():
     assert abs(slope + 1.0) <= 0.5
 
 
-def test_retune_chain_preserve_mode_documented_deficit():
-    N = 12
-    chain = uniform_chain(N)
-    t = 50.0 * math.pi / min_gap(eigh_tridiag(chain))
-    rebuilt, _ = retune_chain(chain, t, weights="preserve")
-    f = fidelity(eigh_tridiag(rebuilt), t)
-    assert f >= 1.0 - 1e-3
-    with pytest.raises(ValueError):
-        retune_chain(chain, t, weights="nonsense")
-
-
 def test_retune_chain_rejects_non_persymmetric():
     m = SymTridiag(np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.4]))
     with pytest.raises(ValueError, match="persymmetric"):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -118,6 +119,61 @@ def test_extended_precision_agrees_with_double():
         assert abs(hi - s.eigenvalues[k]) <= 1e-6 * max(1.0, abs(hi))
     hi_dense = float(dense_eigenvalue_mp(m.dense(), 1, dps=50))
     assert abs(hi_dense - s.eigenvalues[1]) <= 1e-6
+
+
+def _eigsy(a, dps=50):
+    with mp.workdps(dps):
+        return sorted(mp.eigsy(mp.matrix(a.tolist()), eigvals_only=True))
+
+
+def _mirror_banded(N, k, delta, seed):
+    M = ising_effective_surface(N, 1.0).dim
+    rng = np.random.default_rng(seed)
+    unit = rng.uniform(-1.0, 1.0, size=(k, M - 1))
+    for b in range(1, k + 1):
+        row = unit[b - 1, : M - b]
+        unit[b - 1, : M - b] = 0.5 * (row + row[::-1])
+    return banded_effective(N, delta, k, delta * unit)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dense_eigenvalue_mp_banded_matches_eigsy(k):
+    # fill-in inside the band moves these eigenvalues at order delta^2, so
+    # a dropped or misplaced update is far outside the 1e-40 tolerance
+    a = _mirror_banded(4, k, 0.1, seed=k)
+    ref = _eigsy(a)
+    for rank in (0, 1, a.shape[0] // 2, a.shape[0] - 1):
+        got = dense_eigenvalue_mp(a, rank)
+        assert abs(got - ref[rank]) <= mp.mpf("1e-40")
+
+
+def test_dense_eigenvalue_mp_full_bandwidth_matches_eigsy():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 8))
+    a = g + g.T  # bandwidth M - 1: every entry is nonzero
+    ref = _eigsy(a)
+    for rank in (0, 3, 7):
+        assert abs(dense_eigenvalue_mp(a, rank) - ref[rank]) <= mp.mpf("1e-40")
+
+
+def test_mp_eigenvalue_exact_zero_pivot():
+    # the bracket is [-2, 2], so the first midpoint 0 makes the first pivot
+    # exactly zero; the tiny positive substitute still counts one eigenvalue
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    chain = SymTridiag(np.zeros(2), np.array([1.0]))
+    for rank, want in ((0, -1), (1, 1)):
+        assert abs(dense_eigenvalue_mp(a, rank) - want) <= mp.mpf("1e-40")
+        assert abs(tridiag_eigenvalue_mp(chain, rank) - want) <= mp.mpf("1e-40")
+
+
+def test_dense_eigenvalue_mp_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        dense_eigenvalue_mp(np.zeros((2, 3)), 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        dense_eigenvalue_mp(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
+    # asymmetry within 1e-13 is accepted, as in eigh_dense_symmetric
+    nearly = np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
+    assert abs(dense_eigenvalue_mp(nearly, 1) - 1) <= mp.mpf("1e-12")
 
 
 def test_splitting_shrinks_with_system_size():
