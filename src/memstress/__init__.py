@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .effective import (
     SymTridiag,
     banded_effective,
-    ising_effective_paper,
     ising_effective_surface,
     ising_surface_diagonal,
     toric_effective,

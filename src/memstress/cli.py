@@ -39,7 +39,7 @@ def _cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[name]
-        print(f"  {name:18s} N_range default {list(spec.default_N)}")
+        print(f"  {name:18s} N_range default {list(spec.default_N)}, N >= {spec.min_N}")
         print(f"  {'':18s} {spec.summary}")
     print()
     print("config keys (key = value lines, # comments):")

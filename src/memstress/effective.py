@@ -4,7 +4,8 @@ The string states are orthonormal, so restricting H + deltaH to their span
 yields a real symmetric tridiagonal matrix (or a k-banded one for more
 general quasi-local perturbations).  Diagonals are excitation energies
 measured from the ground state; the toric chain keeps its constant 2*Delta
-offset, the Ising chains start at the single-flip surface energy.
+offset, and the Ising chain carries the surface energies of its retained
+prefix patterns in closed form, starting at the single-flip value 4.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import IsingLattice, ising_prefix_energy, ising_retained_lengths
-
 __all__ = [
     "SymTridiag",
     "toric_effective",
     "ising_surface_diagonal",
     "ising_effective_surface",
-    "ising_effective_paper",
     "banded_effective",
 ]
 
@@ -88,40 +86,27 @@ def toric_effective(N: int, Delta: float, delta: float, J, B) -> SymTridiag:
 
 
 def ising_surface_diagonal(N: int) -> np.ndarray:
-    """Excitation energies of the retained prefix patterns, by bond counting."""
-    lat = IsingLattice(N)
-    return np.array(
-        [float(ising_prefix_energy(lat, l)) for l in ising_retained_lengths(lat)]
-    )
+    """Surface energies of the M = N(N-1) - 2 retained prefix patterns.
+
+    The ramp 2(i+1) for i = 1..N-1, then (N-1)(N-2) - 2 plateau entries at
+    2(N+1), then the mirrored ramp: the broken-bond counts that
+    lattices.ising_prefix_energy returns for ising_retained_lengths.
+    """
+    if N < 3:
+        raise ValueError("ising effective chain needs N >= 3")
+    ramp = 2.0 * np.arange(2, N + 1)
+    plateau = np.full((N - 1) * (N - 2) - 2, 2.0 * (N + 1))
+    return np.concatenate([ramp, plateau, ramp[::-1]])
 
 
 def ising_effective_surface(N: int, delta: float) -> SymTridiag:
-    """Ising string chain with the physically grounded surface-area diagonal.
+    """Ising string chain: the surface-energy diagonal with uniform hopping.
 
     diag ramps 2(i+1) for i = 1..N-1, sits at the 2(N+1) plateau, and ramps
-    back down; hopping is uniform delta (J_k = 1).
+    back down (ising_surface_diagonal); hopping is uniform delta (J_k = 1).
     """
-    if N < 3:
-        raise ValueError("ising effective chain needs N >= 3")
     d = ising_surface_diagonal(N)
     return SymTridiag(d, np.full(d.size - 1, float(delta)))
-
-
-def ising_effective_paper(N: int, delta: float) -> SymTridiag:
-    """Literal (N+1)-offset variant of the Ising chain.
-
-    diag_i = (N+1) - 2(N-i) for i = 1..N-1 and mirrored at the far end,
-    (N+1) on the plateau; retained for reproduction even though its diagonal
-    sits N+1 below the surface energies (see ising_effective_surface).
-    """
-    if N < 3:
-        raise ValueError("ising effective chain needs N >= 3")
-    M = N * (N - 1) - 2
-    d = np.full(M, float(N + 1))
-    for i in range(1, N):
-        d[i - 1] -= 2.0 * (N - i)
-        d[M - i] -= 2.0 * (N - i)
-    return SymTridiag(d, np.full(M - 1, float(delta)))
 
 
 def banded_effective(N: int, delta: float, k: int, band_coeffs) -> np.ndarray:

@@ -79,10 +79,13 @@ class ExperimentConfig:
                 f"experiment: unknown name {self.experiment!r}; "
                 f"choose from {', '.join(sorted(EXPERIMENTS))}"
             )
+        spec = EXPERIMENTS[self.experiment]
         if not self.N_range:
-            self.N_range = list(EXPERIMENTS[self.experiment].default_N)
-        if any(not isinstance(n, int) or n < 2 for n in self.N_range):
-            raise ConfigError(f"N_range: entries must be integers >= 2, got {self.N_range}")
+            self.N_range = list(spec.default_N)
+        if any(not isinstance(n, int) or n < spec.min_N for n in self.N_range):
+            raise ConfigError(
+                f"N_range: {self.experiment} needs integers >= {spec.min_N}, got {self.N_range}"
+            )
         if not (0.0 < self.delta <= 0.5):
             raise ConfigError(f"delta: must lie in (0, 0.5], got {self.delta}")
         if self.t_factor < 10.0:
@@ -218,8 +221,6 @@ def exp_toric_transfer(cfg: ExperimentConfig) -> Outcome:
     worst = 1.0
     trace_rows: list[tuple] = []
     for N in cfg.N_range:
-        if N < 3:
-            raise ConfigError("N_range: christandl transfer needs N >= 3")
         s = eigh_tridiag(
             toric_effective(N, 1.0, cfg.delta, christandl_couplings(N), np.zeros(N - 1))
         )
@@ -251,7 +252,7 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
     checks = []
     summary: dict = {}
     for N in cfg.N_range:
-        M = N * (N - 1) - 2
+        M = ising_surface_diagonal(N).size
         fit = measure_splitting(
             lambda d, N=N: ising_effective_surface(N, d),
             (0, 1),
@@ -272,7 +273,7 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
         )
         summary[f"order_N{N}"] = fit.fitted_order
         summary[f"predicted_N{N}"] = fit.predicted_order
-    m_flat = cfg.N_range[0] * (cfg.N_range[0] - 1) - 2
+    m_flat = ising_surface_diagonal(cfg.N_range[0]).size
     flat = measure_splitting(
         lambda d: SymTridiag(np.full(m_flat, 2.0), np.full(m_flat - 1, 0.5 * d)),
         (0, 1),
@@ -304,14 +305,11 @@ def exp_ising_plateau(cfg: ExperimentConfig) -> Outcome:
     checks = []
     summary = {}
     for N in cfg.N_range:
-        if N < 4:
-            raise ConfigError("N_range: the plateau is empty below N = 4")
-        P = (N - 1) * (N - 2) - 2
         resid = []
         for d in deltas:
             s = eigh_tridiag(ising_effective_surface(N, float(d)))
-            numeric = s.eigenvalues[-P:]
             formula = np.sort(plateau_spectrum(N, float(d)))
+            numeric = s.eigenvalues[-formula.size:]
             r = float(np.max(np.abs(numeric - formula)))
             resid.append(r)
             rows.append((N, float(d), r))
@@ -351,7 +349,7 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
     checks = []
     summary = {"k": k}
     for N in cfg.N_range:
-        M = N * (N - 1) - 2
+        M = ising_surface_diagonal(N).size
         unit = _mirror_symmetric_bands(rng, k, M)
         fit = measure_splitting(
             lambda d, N=N, unit=unit: (
@@ -551,32 +549,39 @@ class ExperimentSpec:
     func: object
     default_N: tuple
     summary: str
+    min_N: int = 2
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "toric-scaling": ExperimentSpec(
         exp_toric_scaling, (16, 32, 64, 128, 256),
         "min gap ~ delta/N^2 and christandl transfer time ~ N/delta",
+        min_N=3,
     ),
     "toric-retune": ExperimentSpec(
         exp_toric_retune, (8, 16, 32, 64),
         "retuned uniform chains reach F(t) >= 1 - 1e-6 with O(1/t) coupling shifts",
+        min_N=3,
     ),
     "toric-transfer": ExperimentSpec(
         exp_toric_transfer, (4, 8, 16, 32, 51),
         "christandl chains transfer perfectly at the located optimum",
+        min_N=3,
     ),
     "ising-splitting": ExperimentSpec(
         exp_ising_splitting, (3, 4),
         "lowest-pair splitting is O(delta^(M-1)); flat chains split at first order",
+        min_N=3,
     ),
     "ising-plateau": ExperimentSpec(
         exp_ising_plateau, (4, 5),
         "plateau splits at first order onto the printed cosine band",
+        min_N=4,
     ),
     "banded-splitting": ExperimentSpec(
         exp_banded_splitting, (3, 4),
         "k-banded perturbations still need order >= ceil((M-1)/k)",
+        min_N=3,
     ),
     "oracle-verify": ExperimentSpec(
         exp_oracle_verify, (3,),
@@ -585,10 +590,12 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "duality-verify": ExperimentSpec(
         exp_duality_verify, (3,),
         "the CNOT duality maps deltaH to the XX+YY hopping chain exactly",
+        min_N=3,
     ),
     "two-excitation": ExperimentSpec(
         exp_two_excitation, (3,),
         "an interior fault mirrors within the two-string sector",
+        min_N=3,
     ),
 }
 
@@ -611,18 +618,19 @@ def load_config_file(path: str | Path) -> dict:
 def _parse_n_range(text: str) -> list[int]:
     text = text.strip()
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            out = []
-            n = lo
-            while n <= hi:
-                out.append(n)
-                n *= 2
-            return out
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        if ".." not in text:
+            return [int(tok) for tok in text.replace(",", " ").split()]
+        lo, hi = (int(part) for part in text.split("..", 1))
     except ValueError as exc:
         raise ConfigError(f"N_range: cannot parse {text!r}") from exc
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"N_range: span {text!r} must run from a positive start up to its end")
+    out = []
+    n = lo
+    while n <= hi:
+        out.append(n)
+        n *= 2
+    return out
 
 
 def _coerce(raw: dict[str, str]) -> dict:

@@ -25,8 +25,6 @@ __all__ = [
     "locate_fidelity_peak",
 ]
 
-DEFAULT_THRESHOLD = 0.999
-
 
 @dataclass(frozen=True)
 class TransferResult:
@@ -86,9 +84,7 @@ def _lipschitz(s: SpectralData) -> float:
     return float(np.sum(np.abs(s.amplitudes) * np.abs(lam - mid)))
 
 
-def measure_transfer_time(
-    s: SpectralData, threshold: float = DEFAULT_THRESHOLD, t_max: float = 0.0
-) -> TransferResult:
+def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> TransferResult:
     """Scan F(t) up to t_max and report the first crossing of threshold.
 
     A base grid with spacing pi / (4 * spectral width) oversamples the

@@ -60,6 +60,14 @@ def test_load_config_errors(tmp_path):
         load_config_file(bad)
 
 
+@pytest.mark.parametrize("span", ["0..4", "-4..8", "16..8"])
+def test_load_config_rejects_bad_span(tmp_path, span):
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text(f"N_range = {span}\n")
+    with pytest.raises(ConfigError, match="N_range"):
+        load_config_file(cfg)
+
+
 def test_config_validation_names_field():
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(experiment="nope").validated()
@@ -127,6 +135,25 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     # config error paths return 1
     assert main(["run", "--experiment", "does-not-exist", "--out", str(tmp_path)]) == 1
     assert main(["run", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, N",
+    [
+        ("toric-scaling", 2),
+        ("toric-retune", 2),
+        ("toric-transfer", 2),
+        ("ising-splitting", 2),
+        ("banded-splitting", 2),
+        ("ising-plateau", 3),
+    ],
+)
+def test_cli_rejects_n_below_experiment_minimum(tmp_path, capsys, experiment, N):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"experiment = {experiment}\nN_range = {N}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: N_range")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_ising_splitting_deterministically(tmp_path):

@@ -4,11 +4,11 @@ import pytest
 from memstress.effective import (
     SymTridiag,
     banded_effective,
-    ising_effective_paper,
     ising_effective_surface,
     ising_surface_diagonal,
     toric_effective,
 )
+from memstress.lattices import IsingLattice, ising_prefix_energy, ising_retained_lengths
 from memstress.transfer import christandl_couplings
 
 
@@ -44,18 +44,11 @@ def test_symtridiag_validation():
     assert m.dim == 1
 
 
-def test_ising_paper_variant_n3():
-    m = ising_effective_paper(3, 0.0)
-    assert np.allclose(m.diag, [0.0, 2.0, 2.0, 0.0])
-    assert np.allclose(m.offdiag, 0.0)
-
-
-def test_ising_paper_variant_palindrome_and_plateau():
-    for N in (3, 4, 5, 8):
-        m = ising_effective_paper(N, 0.2)
-        assert np.allclose(m.diag, m.diag[::-1])
-        M = N * (N - 1) - 2
-        assert np.sum(m.diag == N + 1) == M - 2 * (N - 1)
+@pytest.mark.parametrize("N", range(3, 13))
+def test_ising_surface_diagonal_matches_bond_count(N):
+    lat = IsingLattice(N)
+    counted = [ising_prefix_energy(lat, l) for l in ising_retained_lengths(lat)]
+    assert ising_surface_diagonal(N).tolist() == counted
 
 
 def test_ising_surface_variant_values():
@@ -80,7 +73,7 @@ def test_surface_variant_rejects_small_n():
     with pytest.raises(ValueError):
         ising_effective_surface(2, 0.1)
     with pytest.raises(ValueError):
-        ising_effective_paper(2, 0.1)
+        ising_surface_diagonal(2)
 
 
 def test_banded_k1_matches_surface_chain():
