@@ -616,10 +616,13 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _parse_n_range(text: str) -> list[int]:
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ConfigError(f"N_range: {text!r} lists no N; leave the key out to run the defaults")
     text = text.strip()
     try:
         if ".." not in text:
-            return [int(tok) for tok in text.replace(",", " ").split()]
+            return [int(tok) for tok in tokens]
         lo, hi = (int(part) for part in text.split("..", 1))
     except ValueError as exc:
         raise ConfigError(f"N_range: cannot parse {text!r}") from exc

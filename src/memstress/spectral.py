@@ -77,11 +77,11 @@ class SpectralData:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 0.0)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, k] = -col
+    # the lead is each column's first entry with |v| > 0 (NaN never leads);
+    # an all-zero column leads with its zero first entry and stays unflipped
+    lead = np.argmax(np.abs(vecs) > 0.0, axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     return vecs
 
 

@@ -58,9 +58,35 @@ def fidelity(s: SpectralData, t: float) -> float:
     return float(np.abs(np.sum(s.amplitudes * np.exp(-1j * s.eigenvalues * t))))
 
 
+# Phase entries formed at once by fidelity_trace: 4 MiB of complex128, so a
+# scan's temporaries stay a few MiB however long its time grid is.
+TRACE_BLOCK_ELEMENTS = 1 << 18
+
+
 def fidelity_trace(s: SpectralData, times: np.ndarray) -> np.ndarray:
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), s.eigenvalues))
-    return np.abs(phases @ s.amplitudes)
+    """F(t) = |sum_i a_i exp(-i lam_i t)| at every entry of times.
+
+    The phase matrix exp(-1j * outer(times, lam)) is formed in blocks of
+    whole rows, at most TRACE_BLOCK_ELEMENTS entries each (at least one row),
+    in two buffers reused from block to block, so that blocks after the
+    first write into pages already mapped.  The result is bit-identical
+    to forming it in one piece: every phase is the exp of its own product,
+    and every output entry is its own row-by-vector dot product, which no
+    other row enters.
+    """
+    times = np.asarray(times, dtype=float).ravel()
+    lam, a = s.eigenvalues, s.amplitudes
+    rows = max(1, min(TRACE_BLOCK_ELEMENTS // lam.size, times.size))
+    arg = np.empty((rows, lam.size))
+    phases = np.empty((rows, lam.size), dtype=complex)
+    out = np.empty(times.size)
+    for k in range(0, times.size, rows):
+        block = times[k:k + rows]
+        p = phases[: block.size]
+        np.multiply(-1j, np.outer(block, lam, out=arg[: block.size]), out=p)
+        np.exp(p, out=p)
+        np.abs(p @ a, out=out[k:k + rows])
+    return out
 
 
 def f_max(s: SpectralData) -> float:

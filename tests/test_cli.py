@@ -68,6 +68,14 @@ def test_load_config_rejects_bad_span(tmp_path, span):
         load_config_file(cfg)
 
 
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_load_config_rejects_empty_n_range(tmp_path, value):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"experiment = ising-splitting\nN_range = {value}\n")
+    with pytest.raises(ConfigError, match="N_range: .* lists no N; leave the key out"):
+        load_config_file(cfg)
+
+
 def test_config_validation_names_field():
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(experiment="nope").validated()

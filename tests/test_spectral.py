@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memstress.effective import SymTridiag
-from memstress.spectral import NumericalError, eigh_dense_symmetric, eigh_tridiag, min_gap
+from memstress.spectral import (
+    NumericalError,
+    _fix_signs,
+    eigh_dense_symmetric,
+    eigh_tridiag,
+    min_gap,
+)
 from memstress.splitting import tridiag_eigenvalue_mp
 from memstress.transfer import christandl_couplings
 
@@ -224,3 +230,26 @@ def test_generic_endpoint_underflow_raises():
     m = SymTridiag(np.arange(M, dtype=float), np.full(M - 1, 1e-8))
     with pytest.raises(NumericalError):
         eigh_tridiag(m)
+
+
+def fix_signs_loop(vecs):
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nz = np.flatnonzero(np.abs(col) > 0.0)
+        if nz.size and col[nz[0]] < 0:
+            vecs[:, k] = -col
+    return vecs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fix_signs_matches_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((9, 12))
+    for k in range(12):
+        vecs[: rng.integers(0, 9), k] = 0.0  # zeroed leading rows
+    vecs[:, 3] = 0.0
+    vecs[:4, 5] = -0.0
+    vecs[0, 6], vecs[1, 6] = np.nan, -2.0  # NaN never leads
+    vecs[0, 7] = -1.5
+    expected = fix_signs_loop(vecs.copy())
+    assert _fix_signs(vecs).tobytes() == expected.tobytes()

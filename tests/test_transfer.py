@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from memstress.effective import SymTridiag
 from memstress.spectral import eigh_tridiag
 from memstress.transfer import (
+    TRACE_BLOCK_ELEMENTS,
+    _time_grid,
     christandl_couplings,
     f_max,
     fidelity,
@@ -124,3 +127,40 @@ def test_mirror_period_returns_to_start():
     s = eigh_tridiag(christandl_chain(N, delta=0.1))
     t_star, _ = locate_fidelity_peak(s, 1.3 * np.pi * (N - 1) / 0.4)
     assert abs(fidelity(s, 2 * t_star) - fidelity(s, 0.0)) < 1e-8
+
+
+def one_piece_trace(s, times):
+    return np.abs(np.exp(-1j * np.outer(times, s.eigenvalues)) @ s.amplitudes)
+
+
+def peak_scan(N):
+    # locate_fidelity_peak's grid for the toric-transfer chain at delta = 1
+    s = eigh_tridiag(christandl_chain(N))
+    return s, _time_grid(s, 1.5 * np.pi * (N - 1) / 4.0, oversample=8.0)
+
+
+def test_blocked_trace_is_bit_identical():
+    s, times = peak_scan(512)
+    rows = TRACE_BLOCK_ELEMENTS // s.dim
+    assert times.size > 2 * rows and times.size % rows  # several blocks, ragged last one
+    assert np.array_equal(fidelity_trace(s, times), one_piece_trace(s, times))
+    few = times[: rows // 2]  # one block
+    assert np.array_equal(fidelity_trace(s, few), one_piece_trace(s, few))
+    s1 = eigh_tridiag(SymTridiag(np.array([1.3]), np.zeros(0)))
+    ts = np.linspace(0.0, 50.0, TRACE_BLOCK_ELEMENTS + 7)
+    assert np.array_equal(fidelity_trace(s1, ts), one_piece_trace(s1, ts))
+    empty = fidelity_trace(s, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_blocked_trace_memory_is_bounded():
+    s, times = peak_scan(512)
+    assert times.size == 6121
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fidelity_trace(s, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
