@@ -15,6 +15,7 @@ import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file, run
 from .spectral import NumericalError
+from .splitting import DEFAULT_DPS
 
 _CONFIG_KEYS = (
     "experiment", "N_range", "delta", "t_factor", "threshold",
@@ -39,7 +40,9 @@ def _cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[name]
-        print(f"  {name:18s} N_range default {list(spec.default_N)}, N >= {spec.min_N}")
+        rule = (f"exactly one N from {list(spec.allowed_N)}" if spec.allowed_N
+                else f"N >= {spec.min_N}")
+        print(f"  {name:18s} N_range default {list(spec.default_N)}, {rule}")
         print(f"  {'':18s} {spec.summary}")
     print()
     print("config keys (key = value lines, # comments):")
@@ -49,7 +52,8 @@ def _cmd_list() -> int:
     print("  t_factor     transfer time in units of pi/min_gap, >= 10   [50]")
     print("  threshold    transfer fidelity threshold, in (0, 1]   [0.999]")
     print("  output_dir   where CSV/JSON/SVG artifacts go   [results]")
-    print("  precision    'double' or 'extended:<digits>'   [double]")
+    print(f"  precision    'double' ({DEFAULT_DPS}-digit splitting bisection) "
+          "or 'extended:<digits>'   [double]")
     print("  seed         nonnegative integer   [0]")
     print("  svg          true/false   [false]")
     return 0

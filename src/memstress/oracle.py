@@ -232,17 +232,18 @@ def effective_matrix_elements(
 
 
 def apply_circuit_to_state(circuit, v: DenseState) -> DenseState:
-    """Apply an ordered CNOT list to a dense state (circuit[0] first)."""
-    amps = v.amplitudes
-    idx = np.arange(amps.size, dtype=np.uint32)
+    """Apply an ordered CNOT list to a dense state (circuit[0] first).
+
+    On the ``(2,)*n`` view (qubit q is axis ``n-1-q``) each gate flips the
+    target axis of the control = 1 slice; that slice has no control axis, so
+    the target axis moves down by one when target < control.
+    """
+    n = v.n_qubits
+    amps = v.amplitudes.reshape((2,) * n).copy()
     for control, target in circuit:
-        src = np.where(
-            (idx >> np.uint32(control)) & np.uint32(1),
-            idx ^ np.uint32(1 << target),
-            idx,
-        )
-        amps = amps[src]
-    return DenseState(v.n_qubits, amps.copy())
+        on = (slice(None),) * (n - 1 - control) + (1,)
+        amps[on] = np.flip(amps[on], axis=n - 1 - target - (target < control))
+    return DenseState(n, amps.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class PauliTerm:
         for q in range(self.n_qubits - 1, -1, -1):
             x = (self.x_mask >> q) & 1
             z = (self.z_mask >> q) & 1
-            chars.append("IXZY"[x + 2 * z] if x + 2 * z != 3 else "Y")
+            chars.append("IXZY"[x + 2 * z])
         return f"({self.coeff})*" + "".join(chars)
 
     def __repr__(self) -> str:
@@ -166,47 +166,28 @@ def conjugate_by_circuit(p: PauliTerm, circuit) -> PauliTerm:
     return p
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(n_qubits: int) -> np.ndarray:
-    idx = _INDEX_CACHE.get(n_qubits)
-    if idx is None:
-        if n_qubits > 26:
-            raise ValueError("dense statevectors above 26 qubits are not supported")
-        idx = np.arange(1 << n_qubits, dtype=np.uint32)
-        _INDEX_CACHE[n_qubits] = idx
-    return idx
-
-
-def _parity_array(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return v & np.uint32(1)
-
-
 def apply_to_state(p: PauliTerm, v: np.ndarray) -> np.ndarray:
     """Return ``p @ v`` for a dense statevector ``v`` of length ``2**n``.
 
-    out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x]
+    out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x], computed on the
+    ``(2,)*n`` view of ``v``, where qubit q is axis ``n-1-q``: X^x flips the
+    axes of x's bits, then each bit q of z negates the half whose index on
+    axis ``n-1-q`` is ``1 ^ x_q``.
     """
     v = np.asarray(v)
-    dim = 1 << p.n_qubits
-    if v.shape != (dim,):
-        raise ValueError(f"state length {v.shape} does not match 2**{p.n_qubits}")
-    idx = _indices(p.n_qubits)
-    src = idx ^ np.uint32(p.x_mask)
-    out = v[src].astype(complex, copy=True)
-    if p.z_mask:
-        signs = 1.0 - 2.0 * _parity_array(src & np.uint32(p.z_mask))
-        out *= signs
+    n = p.n_qubits
+    if v.shape != (1 << n,):
+        raise ValueError(f"state length {v.shape} does not match 2**{n}")
+    flips = [n - 1 - q for q in range(n) if (p.x_mask >> q) & 1]
+    out = np.flip(v.reshape((2,) * n), axis=flips).astype(complex)
+    for q in range(n):
+        if (p.z_mask >> q) & 1:
+            b = 1 ^ ((p.x_mask >> q) & 1)
+            half = out[(slice(None),) * (n - 1 - q) + (slice(b, b + 1),)]
+            np.negative(half, out=half)
     if p.coeff != 1.0:
         out *= p.coeff
-    return out
+    return out.reshape(-1)
 
 
 @dataclass(frozen=True)

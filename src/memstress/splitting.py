@@ -153,7 +153,11 @@ def dense_eigenvalue_mp(a: np.ndarray, k: int, dps: int = DEFAULT_DPS):
 
 
 def _pair_splitting(matrix, pair: tuple[int, int], dps: int) -> float:
-    """Eigenvalue difference for the ranked pair, escalating precision."""
+    """Eigenvalue difference for the ranked pair.
+
+    A double-precision gap above the floor is returned as is; a smaller one
+    is recomputed by bisection at the fixed ``dps`` digits.
+    """
     lo, hi = pair
     if isinstance(matrix, SymTridiag):
         s = eigh_tridiag(matrix)

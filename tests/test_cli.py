@@ -164,6 +164,23 @@ def test_cli_rejects_n_below_experiment_minimum(tmp_path, capsys, experiment, N)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["oracle-verify", "duality-verify", "two-excitation"])
+def test_cli_rejects_extra_n_for_exact_n_experiments(tmp_path, capsys, experiment):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(f"experiment = {experiment}\nN_range = 3, 5\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: N_range")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_list_prints_exact_n_rule(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle-verify      N_range default [3], exactly one N from [2, 3]" in out
+    assert "two-excitation     N_range default [3], exactly one N from [3]" in out
+    assert "'double' (60-digit splitting bisection)" in out
+
+
 def test_cli_runs_ising_splitting_deterministically(tmp_path):
     cfg = tmp_path / "exp.cfg"
     out1 = tmp_path / "r1"

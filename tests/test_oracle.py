@@ -8,11 +8,13 @@ from memstress.lattices import (
     ising_hamiltonian,
     ising_perturbation,
     toric_hamiltonian,
+    toric_duality_circuit,
     toric_logicals,
     toric_perturbation,
 )
 from memstress.oracle import (
     DenseState,
+    apply_circuit_to_state,
     apply_hamiltonian,
     basis_state,
     effective_matrix_elements,
@@ -268,3 +270,30 @@ def test_dense_state_validation():
         DenseState(2, np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
         basis_state(2).normalized().apply_term(pauli_x(3, 0))
+
+
+def _reference_circuit(circuit, amps: np.ndarray) -> np.ndarray:
+    """The former per-gate index permutation: gather through j ^ target on control = 1."""
+    idx = np.arange(amps.size, dtype=np.uint32)
+    for control, target in circuit:
+        amps = amps[np.where((idx >> np.uint32(control)) & np.uint32(1),
+                             idx ^ np.uint32(1 << target), idx)]
+    return amps.copy()
+
+
+def test_circuit_is_byte_equal_to_index_permutation():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5, 8):
+        circuit = [tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+                   for _ in range(30)]
+        assert any(t < c for c, t in circuit) and any(t > c for c, t in circuit)
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        got = apply_circuit_to_state(circuit, DenseState(n, v)).amplitudes
+        assert got.tobytes() == _reference_circuit(circuit, v).tobytes()
+
+
+def test_duality_circuit_is_byte_equal_to_index_permutation(toric3):
+    lat, _, psi = toric3
+    circuit = toric_duality_circuit(lat)
+    got = apply_circuit_to_state(circuit, psi).amplitudes
+    assert got.tobytes() == _reference_circuit(circuit, psi.amplitudes).tobytes()

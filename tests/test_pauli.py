@@ -200,3 +200,86 @@ def test_paulisum_merges_duplicates():
 def test_paulisum_hermiticity_check():
     assert PauliSum.from_terms([pauli_y(2, 0), pauli_x(2, 1).scaled(2.0)]).is_hermitian()
     assert not PauliSum.from_terms([pauli_x(2, 0).scaled(1j)]).is_hermitian()
+
+
+def _reference_apply(p: PauliTerm, v) -> np.ndarray:
+    """The former kernel: gather v[j ^ x] through an index table, Z signs by popcount."""
+    src = np.arange(1 << p.n_qubits, dtype=np.uint32) ^ np.uint32(p.x_mask)
+    out = np.asarray(v)[src].astype(complex, copy=True)
+    if p.z_mask:
+        parity = src & np.uint32(p.z_mask)
+        for shift in (16, 8, 4, 2, 1):
+            parity ^= parity >> np.uint32(shift)
+        out *= 1.0 - 2.0 * (parity & np.uint32(1))
+    if p.coeff != 1.0:
+        out *= p.coeff
+    return out
+
+
+def _reference_sum_apply(h: PauliSum, v) -> np.ndarray:
+    out = np.zeros(1 << h.n_qubits, dtype=complex)
+    for t in h.terms:
+        out += _reference_apply(t, v)
+    return out
+
+
+_SIGNED_COEFFS = (1.0, -1.0, 0.5, 1j, -1j, 2.0 - 1.0j, complex(-0.0, 1.5),
+                  complex(0.75, -0.0), complex(-0.0, -0.0) + 0.25)
+
+
+def _random_sum(rng, n: int, n_terms: int) -> PauliSum:
+    terms = []
+    for _ in range(n_terms):
+        x, z = (int(m) for m in rng.integers(0, 1 << n, size=2))
+        c = _SIGNED_COEFFS[rng.integers(len(_SIGNED_COEFFS))] * rng.uniform(0.1, 2.0)
+        terms.append(PauliTerm(n, x, z, c))
+    sites = [int(s) for s in rng.choice(n, size=min(n, 2), replace=False)]
+    terms.append(pauli_y(n, *sites).scaled(rng.uniform(-1.0, 1.0)))
+    return PauliSum.from_terms(terms, n)
+
+
+def _signed_zero_states(rng, n: int):
+    """A real and a complex state whose parts hold zeros of both signs."""
+    dim = 1 << n
+    real = rng.standard_normal(dim)
+    real[rng.random(dim) < 0.2] = 0.0
+    real[rng.random(dim) < 0.2] = -0.0
+    imag = rng.standard_normal(dim)
+    imag[rng.random(dim) < 0.3] = -0.0
+    imag[rng.random(dim) < 0.1] = 0.0
+    return real, real + 1j * imag
+
+
+def test_sum_apply_is_byte_equal_to_index_table_kernel():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 5, 12):
+        for _ in range(25):
+            h = _random_sum(rng, n, int(rng.integers(1, 24)))
+            for v in _signed_zero_states(rng, n):
+                assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+
+
+def test_sum_apply_is_byte_equal_on_toric_hamiltonian():
+    from memstress.lattices import ToricLattice, toric_hamiltonian, toric_perturbation
+    from memstress.oracle import toric_ground_state
+
+    lat = ToricLattice(3)
+    rng = np.random.default_rng(4)
+    h = toric_hamiltonian(lat) + toric_perturbation(
+        lat, rng.uniform(0.3, 0.9, 1), rng.uniform(-0.5, 0.5, 2), 0.1
+    )
+    assert lat.n_qubits == 18
+    states = (*_signed_zero_states(rng, lat.n_qubits), toric_ground_state(lat).amplitudes)
+    for v in states:
+        assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+
+
+def test_apply_agrees_with_index_table_kernel():
+    rng = np.random.default_rng(21)
+    for n in (1, 3, 6, 9):
+        real, cplx = _signed_zero_states(rng, n)
+        for _ in range(40):
+            x, z = (int(m) for m in rng.integers(0, 1 << n, size=2))
+            p = PauliTerm(n, x, z, _SIGNED_COEFFS[rng.integers(len(_SIGNED_COEFFS))])
+            for v in (real, cplx):
+                assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
