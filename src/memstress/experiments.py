@@ -52,7 +52,14 @@ from .oracle import (
 from .reporting import write_csv, write_json, write_svg_plot
 from .spectral import NumericalError, eigh_tridiag, min_gap
 from .splitting import DEFAULT_DPS, measure_splitting, plateau_spectrum, predicted_order
-from .transfer import christandl_couplings, fidelity, locate_fidelity_peak, measure_transfer_time
+from .transfer import (
+    christandl_couplings,
+    fidelity,
+    fidelity_trace,
+    locate_fidelity_peak,
+    measure_transfer_time,
+    time_grid,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "run", "load_config_file"]
 
@@ -190,17 +197,13 @@ def exp_toric_retune(cfg: ExperimentConfig) -> Outcome:
         chain = _uniform_chain(N, cfg.delta)
         gap = min_gap(eigh_tridiag(chain))
         t0 = cfg.t_factor * np.pi / gap
-        rebuilt, plan = retune_chain(chain, t0)
-        f_t = fidelity(eigh_tridiag(rebuilt), t0)
-        shift0 = float(np.max(np.abs(rebuilt.offdiag - chain.offdiag)))
+        rebuilds = [retune_chain(chain, factor * t0)[0] for factor in factors]
+        shifts = [float(np.max(np.abs(r.offdiag - chain.offdiag))) for r in rebuilds]
+        # factors[0] is exactly 1.0, so the ladder's first rebuild is the one at t0
+        f_t = fidelity(eigh_tridiag(rebuilds[0]), t0)
         worst_f = min(worst_f, f_t)
-        rows.append((N, t0, f_t, shift0))
-        shifts = []
-        for factor in factors:
-            rebuilt, _ = retune_chain(chain, factor * t0)
-            shift = float(np.max(np.abs(rebuilt.offdiag - chain.offdiag)))
-            shifts.append(shift)
-            ladder_rows.append((N, factor * t0, shift))
+        rows.append((N, t0, f_t, shifts[0]))
+        ladder_rows.extend((N, factor * t0, shift) for factor, shift in zip(factors, shifts))
         slopes.append(_fit_slope(factors, shifts))
     slope = float(np.mean(slopes))
     checks = [
@@ -234,8 +237,8 @@ def exp_toric_transfer(cfg: ExperimentConfig) -> Outcome:
         worst = min(worst, f_star)
         rows.append((N, t_star, f_star))
         if N == max(cfg.N_range):
-            res = measure_transfer_time(s, cfg.threshold, 1.5 * t_expect)
-            trace_rows = list(zip(res.times.tolist(), res.fidelities.tolist()))
+            times = time_grid(s, 1.5 * t_expect)
+            trace_rows = list(zip(times.tolist(), fidelity_trace(s, times).tolist()))
     checks = [Check("worst_peak_fidelity", worst, ">= 1 - 1e-9", worst >= 1.0 - 1e-9)]
     return Outcome(
         tables={

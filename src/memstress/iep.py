@@ -116,6 +116,7 @@ def reconstruct_jacobi(retuned: np.ndarray, weights: np.ndarray) -> SymTridiag:
     basis[:, 0] = q
     alpha = np.zeros(M)
     beta = np.zeros(max(M - 1, 0))
+    floor = M * 1e-14 * max(1.0, float(np.max(np.abs(lam))))  # breakdown below this norm
     for j in range(M):
         v = lam * basis[:, j]
         alpha[j] = basis[:, j] @ v
@@ -126,7 +127,7 @@ def reconstruct_jacobi(retuned: np.ndarray, weights: np.ndarray) -> SymTridiag:
             v -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ v)
         if j < M - 1:
             nrm = float(np.linalg.norm(v))
-            if nrm <= M * 1e-14 * max(1.0, float(np.max(np.abs(lam)))):
+            if nrm <= floor:
                 raise NumericalError(
                     f"reconstruction breakdown at step {j + 1}/{M}: residual "
                     f"norm {nrm:.3e}; the measure does not support dimension {M}"

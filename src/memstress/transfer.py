@@ -4,6 +4,16 @@ Transfer quality between the chain ends is read off the spectrum alone:
 F(t) = |sum_i a_i exp(-i lam_i t)| with a_i = <M|lam_i><lam_i|1>, and
 F_max = sum_i |a_i| bounds every t.  Mirror-symmetric chains saturate
 F_max = 1, which is what the engineered couplings exploit.
+
+The two scans (measure_transfer_time, locate_fidelity_peak) screen their
+whole time grid first: a GEMM factorization of the phase matrix gives every
+grid value to within an a-priori bound eps.  Exact values are formed only
+where the screen cannot prove the decision a grid value feeds, as whole
+blocks of fidelity_trace's own layout, so every value that decides a branch
+has fidelity_trace's bits and each scan returns what it would return on the
+full exact trace.  Refinements use one batched evaluator, of which
+fidelity(s, t) is the one-point case; the golden sections of a peak search
+run in lockstep, one batched evaluation per step.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ __all__ = [
     "fidelity",
     "fidelity_trace",
     "f_max",
+    "time_grid",
     "measure_transfer_time",
     "locate_fidelity_peak",
 ]
@@ -28,10 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Fidelity trace and summary numbers for one transfer experiment."""
+    """Summary numbers for one transfer experiment."""
 
-    times: np.ndarray
-    fidelities: np.ndarray
     f_max: float
     transfer_time: float  # nan when the threshold was never reached
     min_gap: float
@@ -51,41 +60,84 @@ def christandl_couplings(N: int) -> np.ndarray:
     return 2.0 / (N - 1) * np.sqrt((i + 1.0) * (N - 2.0 - i))
 
 
+# Phase entries formed at once by fidelity_trace (one row more in a block
+# with a folded tail) and by the batched evaluator: 4 MiB of complex128, so
+# a scan's temporaries stay a few MiB however long its time grid is.
+TRACE_BLOCK_ELEMENTS = 1 << 18
+
+# The screen's error bound is SCREEN_ERROR_FACTOR * eps_mach * (max t *
+# max|lam| + dim) * sum|a|: phase rounding grows with t * lam and the sums
+# with dim.  Counting the roundings of the screen and of fidelity_trace
+# gives a factor below 18 in units of eps_mach / 2; 64 eps_mach leaves a
+# margin of 7.
+SCREEN_ERROR_FACTOR = 64.0
+
+
+def _fidelities(s: SpectralData, times: np.ndarray) -> np.ndarray:
+    """F(t) = |sum_i a_i exp(-i lam_i t)| at every entry of times.
+
+    Each value is reduced from its own row of phases, so it does not depend
+    on the other times in the batch.  Rows are taken TRACE_BLOCK_ELEMENTS
+    phases at a time.
+    """
+    lam, a = s.eigenvalues, s.amplitudes
+    times = np.asarray(times, dtype=float)
+    rows = max(1, TRACE_BLOCK_ELEMENTS // lam.size)
+    phase = -1j * lam
+    out = np.empty(times.size)
+    for k in range(0, times.size, rows):
+        p = phase * times[k:k + rows, None]
+        np.exp(p, out=p)
+        p *= a
+        np.abs(np.sum(p, axis=1), out=out[k:k + rows])
+    return out
+
+
 def fidelity(s: SpectralData, t: float) -> float:
     """F(t) = |sum_i exp(-i lam_i t) a_i| at a single time."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return float(np.abs(np.sum(s.amplitudes * np.exp(-1j * s.eigenvalues * t))))
+    return float(_fidelities(s, np.array([t]))[0])
 
 
-# Phase entries formed at once by fidelity_trace: 4 MiB of complex128, so a
-# scan's temporaries stay a few MiB however long its time grid is.
-TRACE_BLOCK_ELEMENTS = 1 << 18
+def _trace_blocks(n: int, dim: int) -> np.ndarray:
+    """Row bounds of fidelity_trace's blocks over n times.
+
+    Blocks hold TRACE_BLOCK_ELEMENTS phases (at least two rows).  A one-row
+    tail is folded into the block before it: a lone row goes through numpy's
+    1-D dot path, which rounds differently from the same row inside a block.
+    """
+    rows = max(2, TRACE_BLOCK_ELEMENTS // max(dim, 1))
+    bounds = np.append(np.arange(0, n, rows), n)
+    if bounds.size > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds = np.delete(bounds, -2)
+    return bounds
 
 
 def fidelity_trace(s: SpectralData, times: np.ndarray) -> np.ndarray:
     """F(t) = |sum_i a_i exp(-i lam_i t)| at every entry of times.
 
-    The phase matrix exp(-1j * outer(times, lam)) is formed in blocks of
-    whole rows, at most TRACE_BLOCK_ELEMENTS entries each (at least one row),
-    in two buffers reused from block to block, so that blocks after the
-    first write into pages already mapped.  The result is bit-identical
-    to forming it in one piece: every phase is the exp of its own product,
-    and every output entry is its own row-by-vector dot product, which no
-    other row enters.
+    The phase matrix exp(-1j * outer(times, lam)) is formed in the row
+    blocks of _trace_blocks, in two buffers reused from block to block, so
+    that blocks after the first write into pages already mapped.  The
+    result is bit-identical to forming it in one piece: every phase is the
+    exp of its own product, and every output entry is its own row-by-vector
+    product of a block of at least two rows (or of the whole grid), which no
+    other row enters.  A call on a run of whole blocks of a longer grid
+    therefore returns the longer call's bits.
     """
     times = np.asarray(times, dtype=float).ravel()
     lam, a = s.eigenvalues, s.amplitudes
-    rows = max(1, min(TRACE_BLOCK_ELEMENTS // lam.size, times.size))
+    bounds = _trace_blocks(times.size, lam.size)
+    rows = int(np.max(np.diff(bounds), initial=0))
     arg = np.empty((rows, lam.size))
     phases = np.empty((rows, lam.size), dtype=complex)
     out = np.empty(times.size)
-    for k in range(0, times.size, rows):
-        block = times[k:k + rows]
-        p = phases[: block.size]
-        np.multiply(-1j, np.outer(block, lam, out=arg[: block.size]), out=p)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        p = phases[: hi - lo]
+        np.multiply(-1j, np.outer(times[lo:hi], lam, out=arg[: hi - lo]), out=p)
         np.exp(p, out=p)
-        np.abs(p @ a, out=out[k:k + rows])
+        np.abs(p @ a, out=out[lo:hi])
     return out
 
 
@@ -94,13 +146,83 @@ def f_max(s: SpectralData) -> float:
     return float(np.sum(np.abs(s.amplitudes)))
 
 
-def _time_grid(s: SpectralData, t_max: float, oversample: float = 4.0) -> np.ndarray:
+def time_grid(s: SpectralData, t_max: float, oversample: float = 4.0) -> np.ndarray:
+    """Scan grid over [0, t_max] with spacing at most pi / (oversample * width).
+
+    That oversamples the fastest oscillation of F; a flat spectrum gets the
+    two end points.
+    """
     width = s.spectral_width
     if width <= 0.0:
         return np.array([0.0, t_max])
     dt = math.pi / (oversample * width)
     n = int(math.ceil(t_max / dt)) + 1
     return np.linspace(0.0, t_max, max(n, 2))
+
+
+def _screen(s: SpectralData, times: np.ndarray) -> tuple[np.ndarray, float]:
+    """G over times, and eps with |G - fidelity_trace(s, times)| <= eps.
+
+    With B = isqrt(n), time j*B + r is taken as times[j*B] + (times[r] -
+    times[0]), so G = |(exp(-1j outer(times[::B], lam)) * a) @
+    exp(-1j outer(lam, times[:B] - times[0]))| costs 2 sqrt(n) dim
+    exponentials and one GEMM, against n dim exponentials for the trace.
+    eps bounds the roundings of both computations, plus the split's own
+    error in t, measured on the grid.
+    """
+    n = times.size
+    B = math.isqrt(n)
+    lam, a = s.eigenvalues, s.amplitudes
+    starts = times[::B]
+    offsets = times[:B] - times[0]
+    coarse = np.multiply(-1j, np.outer(starts, lam))
+    np.exp(coarse, out=coarse)
+    coarse *= a
+    fine = np.multiply(-1j, np.outer(lam, offsets))
+    np.exp(fine, out=fine)
+    g = np.abs(coarse @ fine).ravel()[:n]
+    split = np.add.outer(starts, offsets).ravel()[:n]
+    lam_max = float(np.max(np.abs(lam)))
+    drift = float(np.max(np.abs(split - times)))
+    rounding = SCREEN_ERROR_FACTOR * np.finfo(float).eps * (float(np.max(np.abs(times))) * lam_max + lam.size)
+    return g, (rounding + drift * lam_max) * f_max(s)
+
+
+class _ScanValues:
+    """F over one scan grid: a screen value at every point, exact ones on demand.
+
+    A screened decision compares values that may each be off by eps, so a
+    decision is taken on the screen only when it holds with tol = 3 eps to
+    spare (the third eps covers the rounding of the bounds themselves, a
+    few ulps of sum|a|).  A grid of one block is evaluated exactly up front,
+    with tol 0: the screen could not save any of it.
+    """
+
+    def __init__(self, s: SpectralData, times: np.ndarray):
+        self.s, self.times = s, times
+        self.bounds = _trace_blocks(times.size, s.dim)
+        self.values = np.empty(times.size)
+        self.known = np.zeros(self.bounds.size - 1, dtype=bool)
+        if self.known.size > 1:
+            self.screen, eps = _screen(s, times)
+            self.tol = 3.0 * eps
+        else:
+            self.screen, self.tol = self.exact(np.arange(times.size)), 0.0
+
+    def exact(self, idx) -> np.ndarray:
+        """fidelity_trace's values at idx, evaluating the blocks that hold them.
+
+        Each block is evaluated whole and once; consecutive blocks go through
+        one fidelity_trace call.
+        """
+        blocks = np.unique(np.searchsorted(self.bounds, idx, side="right") - 1)
+        blocks = blocks[~self.known[blocks]]
+        self.known[blocks] = True
+        for run in np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1):
+            if run.size:
+                lo, hi = self.bounds[run[0]], self.bounds[run[-1] + 1]
+                self.values[lo:hi] = fidelity_trace(self.s, self.times[lo:hi])
+        return self.values[idx]
 
 
 def _lipschitz(s: SpectralData) -> float:
@@ -116,7 +238,8 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
     A base grid with spacing pi / (4 * spectral width) oversamples the
     fastest fidelity oscillation; windows that could still reach the
     threshold (by the Lipschitz bound on F) are subdivided in time order, so
-    the first crossing found is the global first crossing.  A miss is
+    the first crossing found is the global first crossing.  Windows the
+    screen proves out of reach are skipped without exact values.  A miss is
     reported in the result (reached=False), not raised.
     """
     if not 0.0 <= threshold <= 1.0:
@@ -124,48 +247,51 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     gap = min_gap(s) if s.dim >= 2 else math.nan
-    times = _time_grid(s, t_max)
-    fids = fidelity_trace(s, times)
-    fmax = f_max(s)
+    times = time_grid(s, t_max)
+    scan = _ScanValues(s, times)
     lip = _lipschitz(s)
+    # smallest window still worth splitting: a peak exceeding the
+    # threshold by a quarter of the remaining headroom cannot hide in it
+    w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max) if lip > 0 else t_max
+    g = scan.screen
+    reach = np.maximum(g[:-1], g[1:]) + lip * np.diff(times) * 0.5
     crossing = None
-    if fids[0] >= threshold:
-        crossing = 0.0
-    else:
-        # smallest window still worth splitting: a peak exceeding the
-        # threshold by a quarter of the remaining headroom cannot hide in it
-        w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max) if lip > 0 else t_max
-        work = [
-            (float(times[k]), float(times[k + 1]), float(fids[k]), float(fids[k + 1]))
-            for k in range(times.size - 1)
-        ]
-        work.reverse()  # treat earliest window first
-        while work:
-            a, b, fa, fb = work.pop()
-            if max(fa, fb) + lip * (b - a) * 0.5 < threshold:
-                continue
-            if fa >= threshold:
-                crossing = a
-                break
-            if b - a <= w_min:
-                if fb >= threshold:
-                    lo, hi = a, b
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if fidelity(s, mid) >= threshold:
-                            hi = mid
-                        else:
-                            lo = mid
-                    crossing = hi
-                    break
-                continue
-            mid = 0.5 * (a + b)
-            fm = fidelity(s, mid)
-            work.append((mid, b, fm, fb))
-            work.append((a, mid, fa, fm))
-    if crossing is None:
-        return TransferResult(times, fids, fmax, math.nan, gap, False)
-    return TransferResult(times, fids, fmax, float(crossing), gap, True)
+    for k in np.flatnonzero(reach >= threshold - scan.tol):  # in time order
+        fa, fb = scan.exact([k, k + 1])
+        crossing = _window_crossing(
+            s, threshold, lip, w_min, (float(times[k]), float(times[k + 1]), float(fa), float(fb))
+        )
+        if crossing is not None:
+            return TransferResult(f_max(s), crossing, gap, True)
+    return TransferResult(f_max(s), math.nan, gap, False)
+
+
+def _window_crossing(s: SpectralData, threshold: float, lip: float, w_min: float,
+                     window: tuple[float, float, float, float]) -> float | None:
+    """First crossing of threshold in one base window (a, b, F(a), F(b)), or None."""
+    work = [window]
+    while work:
+        a, b, fa, fb = work.pop()
+        if max(fa, fb) + lip * (b - a) * 0.5 < threshold:
+            continue
+        if fa >= threshold:
+            return a
+        if b - a <= w_min:
+            if fb >= threshold:
+                lo, hi = a, b
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if fidelity(s, mid) >= threshold:
+                        hi = mid
+                    else:
+                        lo = mid
+                return hi
+            continue
+        mid = 0.5 * (a + b)
+        fm = fidelity(s, mid)
+        work.append((mid, b, fm, fb))
+        work.append((a, mid, fa, fm))
+    return None
 
 
 def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
@@ -173,40 +299,77 @@ def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
 
     Every base-grid window whose Lipschitz bound could beat the current best
     is refined by golden-section search; the best refined value wins.
+    Windows are visited by decreasing F(a) + F(b), and only the grid points
+    and windows the screen cannot rule out get exact values.  The golden
+    sections of all windows that beat the grid maximum run in lockstep
+    first; the visit then replays over their results.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    times = _time_grid(s, t_max, oversample=8.0)
-    fids = fidelity_trace(s, times)
+    times = time_grid(s, t_max, oversample=8.0)
+    scan = _ScanValues(s, times)
     lip = _lipschitz(s)
-    order = np.argsort(fids[:-1] + fids[1:])[::-1]
-    best_t = float(times[np.argmax(fids)])
-    best_f = float(np.max(fids))
-    for k in order:
-        a, b = float(times[k]), float(times[k + 1])
-        if 0.5 * (fids[k] + fids[k + 1]) + lip * (b - a) * 0.5 <= best_f:
+    g = scan.screen
+    top = float(np.max(g)) - scan.tol
+    points = np.flatnonzero(g >= top)
+    windows = np.flatnonzero(0.5 * (g[:-1] + g[1:]) + lip * np.diff(times) * 0.5 >= top)
+    scan.exact(np.concatenate([points, windows, windows + 1]))
+    f = scan.values
+    best = points[np.argmax(f[points])]
+    best_t, best_f = float(times[best]), float(f[best])
+    order = _visit_order(scan, windows)
+    bounds = 0.5 * (f[order] + f[order + 1]) + lip * (times[order + 1] - times[order]) * 0.5
+    refine = order[bounds > best_f]
+    t_ref, f_ref = _golden_sections(s, times[refine], times[refine + 1])
+    peaks = dict(zip(refine.tolist(), zip(t_ref.tolist(), f_ref.tolist())))
+    for k, bound in zip(order.tolist(), bounds):
+        if bound <= best_f:
             continue
-        t, f = _golden_section(s, a, b)
-        if f > best_f:
-            best_t, best_f = t, f
+        t, fk = peaks[k]
+        if fk > best_f:
+            best_t, best_f = t, fk
     return best_t, best_f
 
 
-def _golden_section(s: SpectralData, a: float, b: float) -> tuple[float, float]:
+def _visit_order(scan: _ScanValues, windows: np.ndarray) -> np.ndarray:
+    """windows by decreasing exact F(a) + F(b), as argsort orders the full grid.
+
+    argsort is not stable, so when two of the keys are equal the order is
+    taken from a sort of the full exact trace.
+    """
+    f = scan.values
+    keys = f[windows] + f[windows + 1]
+    if np.unique(keys).size == keys.size:
+        return windows[np.argsort(keys)[::-1]]
+    full = scan.exact(np.arange(scan.times.size))
+    order = np.argsort(full[:-1] + full[1:])[::-1]
+    return order[np.isin(order, windows)]
+
+
+def _golden_sections(s: SpectralData, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima (t, F(t)) of F on the windows [a_w, b_w].
+
+    All windows run in lockstep, each with its own stopping test and the
+    arithmetic of a one-window search; every step evaluates the live windows
+    in one batch.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fidelity(s, c), fidelity(s, d)
+    fc, fd = np.split(_fidelities(s, np.concatenate([c, d])), 2)
+    live = np.arange(a.size)
     for _ in range(200):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fidelity(s, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fidelity(s, d)
-        if b - a < 1e-14 * max(1.0, abs(b)):
+        if not live.size:
             break
+        up = fc[live] > fd[live]
+        u, v = live[up], live[~up]
+        b[u], d[u], fd[u] = d[u], c[u], fc[u]
+        c[u] = b[u] - invphi * (b[u] - a[u])
+        a[v], c[v], fc[v] = c[v], d[v], fd[v]
+        d[v] = a[v] + invphi * (b[v] - a[v])
+        fresh = _fidelities(s, np.concatenate([c[u], d[v]]))
+        fc[u], fd[v] = fresh[: u.size], fresh[u.size:]
+        live = live[~(b[live] - a[live] < 1e-14 * np.maximum(1.0, np.abs(b[live])))]
     t = 0.5 * (a + b)
-    return t, fidelity(s, t)
+    return t, _fidelities(s, t)

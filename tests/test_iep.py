@@ -161,3 +161,20 @@ def test_retune_chain_rejects_non_persymmetric():
     m = SymTridiag(np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.4]))
     with pytest.raises(ValueError, match="persymmetric"):
         retune_chain(m, 1e4)
+
+
+def test_toric_retune_rebuilds_each_ladder_time_once(monkeypatch, tmp_path):
+    # the ladder's first factor is exactly 1.0, so its rebuild is the one at t0
+    import memstress.experiments as experiments
+
+    times = []
+    rebuild = experiments.retune_chain
+
+    def counted(chain, t):
+        times.append(t)
+        return rebuild(chain, t)
+
+    monkeypatch.setattr(experiments, "retune_chain", counted)
+    cfg = experiments.ExperimentConfig(experiment="toric-retune", N_range=[8], output_dir=str(tmp_path))
+    assert experiments.run(cfg) == 0
+    assert len(times) == 9 and len(set(times)) == 9

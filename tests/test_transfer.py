@@ -7,17 +7,22 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memstress.effective import SymTridiag
+from memstress.effective import SymTridiag, toric_effective
 from memstress.spectral import eigh_tridiag
 from memstress.transfer import (
     TRACE_BLOCK_ELEMENTS,
-    _time_grid,
+    _golden_sections,
+    _ScanValues,
+    _screen,
+    _trace_blocks,
+    _visit_order,
     christandl_couplings,
     f_max,
     fidelity,
     fidelity_trace,
     locate_fidelity_peak,
     measure_transfer_time,
+    time_grid,
 )
 
 
@@ -97,13 +102,15 @@ def test_measure_transfer_time_basics():
     s = eigh_tridiag(christandl_chain(8, delta=0.1))
     res = measure_transfer_time(s, threshold=0.0, t_max=10.0)
     assert res.reached and res.transfer_time == 0.0
-    res = measure_transfer_time(s, 0.999, 1.3 * np.pi * 7 / 0.4)
+    t_max = 1.3 * np.pi * 7 / 0.4
+    res = measure_transfer_time(s, 0.999, t_max)
     assert res.reached
     t_expect = np.pi * 7 / 0.4
     assert res.transfer_time <= t_expect
     assert res.transfer_time == pytest.approx(t_expect, rel=0.05)
-    assert np.all(res.fidelities >= 0) and np.all(res.fidelities <= 1 + 1e-12)
-    assert res.f_max >= res.fidelities.max() - 1e-10
+    fids = fidelity_trace(s, time_grid(s, t_max))
+    assert np.all(fids >= 0) and np.all(fids <= 1 + 1e-12)
+    assert res.f_max >= fids.max() - 1e-10
     assert fidelity(s, res.transfer_time) >= 0.999 - 1e-9
 
 
@@ -136,7 +143,7 @@ def one_piece_trace(s, times):
 def peak_scan(N):
     # locate_fidelity_peak's grid for the toric-transfer chain at delta = 1
     s = eigh_tridiag(christandl_chain(N))
-    return s, _time_grid(s, 1.5 * np.pi * (N - 1) / 4.0, oversample=8.0)
+    return s, time_grid(s, 1.5 * np.pi * (N - 1) / 4.0, oversample=8.0)
 
 
 def test_blocked_trace_is_bit_identical():
@@ -164,3 +171,249 @@ def test_blocked_trace_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_one_row_tail_is_folded():
+    # at delta = 0.1, N = 887's transfer grid is 18 blocks of 295 rows plus one row
+    N = 887
+    s = eigh_tridiag(toric_effective(N, 1.0, 0.1, christandl_couplings(N), np.zeros(N - 1)))
+    times = time_grid(s, 1.5 * np.pi * (N - 1) / 0.4)
+    rows = TRACE_BLOCK_ELEMENTS // s.dim
+    assert times.size > rows and times.size % rows == 1
+    assert fidelity_trace(s, times).tobytes() == one_piece_trace(s, times).tobytes()
+    assert list(_trace_blocks(times.size, s.dim)[-2:]) == [times.size - rows - 1, times.size]
+    assert list(_trace_blocks(1, s.dim)) == [0, 1] and list(_trace_blocks(0, s.dim)) == [0]
+
+
+# The scans as they were before the screen, kept as the reference: every
+# grid value is exact (the one-piece product, which fidelity_trace equals
+# bit for bit), and each window runs its own golden section.  The screened
+# scans must return the same floats.
+
+
+def _reference_fidelity(s, t):
+    return float(np.abs(np.sum(s.amplitudes * np.exp(-1j * s.eigenvalues * t))))
+
+
+def _reference_lipschitz(s):
+    lam = s.eigenvalues
+    mid = 0.5 * (lam[0] + lam[-1])
+    return float(np.sum(np.abs(s.amplitudes) * np.abs(lam - mid)))
+
+
+def _reference_measure_transfer_time(s, threshold, t_max):
+    times = time_grid(s, t_max)
+    fids = one_piece_trace(s, times)
+    lip = _reference_lipschitz(s)
+    crossing = None
+    if fids[0] >= threshold:
+        crossing = 0.0
+    else:
+        w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max) if lip > 0 else t_max
+        work = [
+            (float(times[k]), float(times[k + 1]), float(fids[k]), float(fids[k + 1]))
+            for k in range(times.size - 1)
+        ]
+        work.reverse()
+        while work:
+            a, b, fa, fb = work.pop()
+            if max(fa, fb) + lip * (b - a) * 0.5 < threshold:
+                continue
+            if fa >= threshold:
+                crossing = a
+                break
+            if b - a <= w_min:
+                if fb >= threshold:
+                    lo, hi = a, b
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        if _reference_fidelity(s, mid) >= threshold:
+                            hi = mid
+                        else:
+                            lo = mid
+                    crossing = hi
+                    break
+                continue
+            mid = 0.5 * (a + b)
+            fm = _reference_fidelity(s, mid)
+            work.append((mid, b, fm, fb))
+            work.append((a, mid, fa, fm))
+    if crossing is None:
+        return math.nan, False
+    return float(crossing), True
+
+
+def _reference_locate_fidelity_peak(s, t_max):
+    times = time_grid(s, t_max, oversample=8.0)
+    fids = one_piece_trace(s, times)
+    lip = _reference_lipschitz(s)
+    order = np.argsort(fids[:-1] + fids[1:])[::-1]
+    best_t = float(times[np.argmax(fids)])
+    best_f = float(np.max(fids))
+    for k in order:
+        a, b = float(times[k]), float(times[k + 1])
+        if 0.5 * (fids[k] + fids[k + 1]) + lip * (b - a) * 0.5 <= best_f:
+            continue
+        t, f = _reference_golden_section(s, a, b)
+        if f > best_f:
+            best_t, best_f = t, f
+    return best_t, best_f
+
+
+def _reference_golden_section(s, a, b):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _reference_fidelity(s, c), _reference_fidelity(s, d)
+    for _ in range(200):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _reference_fidelity(s, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _reference_fidelity(s, d)
+        if b - a < 1e-14 * max(1.0, abs(b)):
+            break
+    t = 0.5 * (a + b)
+    return t, _reference_fidelity(s, t)
+
+
+def assert_transfer_matches_reference(s, threshold, t_max):
+    res = measure_transfer_time(s, threshold, t_max)
+    t_ref, reached_ref = _reference_measure_transfer_time(s, threshold, t_max)
+    assert res.reached == reached_ref
+    assert res.transfer_time == t_ref or (math.isnan(t_ref) and math.isnan(res.transfer_time))
+    assert res.f_max == f_max(s)
+
+
+def assert_scans_match_reference(s, t_max, thresholds):
+    assert locate_fidelity_peak(s, t_max) == _reference_locate_fidelity_peak(s, t_max)
+    for threshold in thresholds:
+        assert_transfer_matches_reference(s, threshold, t_max)
+
+
+def toric_christandl(N, delta=0.1):
+    return eigh_tridiag(toric_effective(N, 1.0, delta, christandl_couplings(N), np.zeros(N - 1)))
+
+
+@pytest.mark.parametrize("N", [64, 256, 887, 1024])
+def test_scans_match_reference_on_toric_chains(N):
+    s = toric_christandl(N)
+    assert_scans_match_reference(s, 1.5 * np.pi * (N - 1) / 0.4, [0.999, 0.5])
+
+
+def test_scans_match_reference_on_criterion_1_chains():
+    for M in range(2, 51):
+        s = eigh_tridiag(SymTridiag(np.zeros(M), christandl_couplings(M + 1)))
+        assert_scans_match_reference(s, 1.3 * np.pi * M / 4.0, [0.0, 0.5, 0.9, 0.999])
+
+
+@pytest.mark.parametrize("M", [6, 16, 21])
+def test_peak_ties_fall_back_to_full_order(M):
+    # two candidate windows near the peak have equal exact keys F(a) + F(b);
+    # a sort of the candidates alone orders them differently at M = 16, 21
+    s = eigh_tridiag(SymTridiag(np.zeros(M), christandl_couplings(M + 1)))
+    t_max = 1.3 * np.pi * M / 4.0
+    times = time_grid(s, t_max, oversample=8.0)
+    fids = one_piece_trace(s, times)
+    keys = fids[:-1] + fids[1:]
+    bound = 0.5 * keys + _reference_lipschitz(s) * np.diff(times) * 0.5
+    windows = np.flatnonzero(bound >= fids.max())
+    assert np.unique(keys[windows]).size < windows.size
+    full_order = np.argsort(keys)[::-1]
+    expected = full_order[np.isin(full_order, windows)]
+    assert list(_visit_order(_ScanValues(s, times), windows)) == list(expected)
+    assert locate_fidelity_peak(s, t_max) == _reference_locate_fidelity_peak(s, t_max)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scans_match_reference_on_random_chains(seed):
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(2, 60)) if seed < 4 else 300
+    diag, off = rng.uniform(-0.3, 0.3, M), rng.uniform(0.4, 1.0, M - 1)
+    if seed % 2:
+        diag, off = 0.5 * (diag + diag[::-1]), 0.5 * (off + off[::-1])
+    s = eigh_tridiag(SymTridiag(diag, off))
+    t_max = float(rng.uniform(5.0, 80.0)) if seed < 4 else 150.0
+    assert seed < 4 or _ScanValues(s, time_grid(s, t_max, oversample=8.0)).tol > 0.0
+    assert_scans_match_reference(s, t_max, [float(rng.uniform(0.0, 1.0)), 0.5])
+
+
+def test_transfer_windows_at_the_screen_margin():
+    # thresholds at and around one window's exact reach max(F) + L h / 2, so
+    # the screen cannot decide that window and the exact values must
+    N = 256
+    s = toric_christandl(N)
+    t_max = 1.5 * np.pi * (N - 1) / 0.4
+    times = time_grid(s, t_max)
+    scan = _ScanValues(s, times)
+    assert scan.tol > 0.0
+    fids = one_piece_trace(s, times)
+    reach = np.maximum(fids[:-1], fids[1:]) + _reference_lipschitz(s) * np.diff(times) * 0.5
+    k = int(np.flatnonzero(reach > 0.9)[0])
+    r = float(reach[k])
+    assert abs(float(np.max(scan.screen[k:k + 2])) - float(np.max(fids[k:k + 2]))) <= scan.tol / 3
+    for threshold in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0),
+                      r - scan.tol / 3, r + scan.tol / 3, r - scan.tol, r + scan.tol):
+        assert_transfer_matches_reference(s, float(threshold), t_max)
+
+
+def test_peak_between_two_grid_points_at_the_screen_margin():
+    # the grid puts t* = t_max / 2 midway between two points whose F agree
+    # far below the screen's tolerance: only exact values can pick the max
+    N = 256
+    s = toric_christandl(N)
+    t_max = 2.0 * np.pi * (N - 1) / 0.4
+    times = time_grid(s, t_max, oversample=8.0)
+    scan = _ScanValues(s, times)
+    top = np.flatnonzero(scan.screen >= scan.screen.max() - scan.tol)
+    assert list(top) == [times.size // 2 - 1, times.size // 2]
+    fids = one_piece_trace(s, times)
+    assert abs(fids[top[0]] - fids[top[1]]) < scan.tol / 100
+    assert locate_fidelity_peak(s, t_max) == _reference_locate_fidelity_peak(s, t_max)
+
+
+@pytest.mark.parametrize("N", [64, 256, 512, 1024])
+def test_screen_error_is_within_its_bound(N):
+    for delta in (0.1, 1.0):
+        s = toric_christandl(N, delta)
+        for oversample in (4.0, 8.0):
+            times = time_grid(s, 1.5 * np.pi * (N - 1) / (4.0 * delta), oversample)
+            g, eps = _screen(s, times)
+            err = float(np.max(np.abs(g - fidelity_trace(s, times))))
+            assert err <= eps < 1e-8
+    rng = np.random.default_rng(N)
+    s = eigh_tridiag(SymTridiag(rng.uniform(-0.3, 0.3, N), rng.uniform(0.4, 1.0, N - 1)))
+    times = time_grid(s, 40.0)
+    g, eps = _screen(s, times)
+    assert float(np.max(np.abs(g - fidelity_trace(s, times)))) <= eps
+
+
+def test_exact_values_are_fidelity_trace_bits():
+    s = toric_christandl(512)
+    times = time_grid(s, 1.5 * np.pi * 511 / 0.4, oversample=8.0)
+    full = fidelity_trace(s, times)
+    scan = _ScanValues(s, times)
+    idx = np.array([0, 1, 5000, times.size // 2, times.size - 2, times.size - 1])
+    assert scan.exact(idx).tobytes() == full[idx].tobytes()
+    assert scan.known.sum() < scan.known.size
+    assert scan.exact(np.arange(times.size)).tobytes() == full.tobytes()
+
+
+def test_fidelity_is_the_one_point_batch():
+    rng = np.random.default_rng(3)
+    for M in (1, 2, 7, 64, 300):
+        s = eigh_tridiag(SymTridiag(rng.uniform(-0.3, 0.3, M), rng.uniform(0.4, 1.0, M - 1)))
+        for t in rng.uniform(0.0, 2000.0, 25):
+            assert fidelity(s, float(t)) == _reference_fidelity(s, float(t))
+
+
+def test_lockstep_golden_sections_match_one_window_search():
+    s = toric_christandl(128)
+    times = time_grid(s, 1.5 * np.pi * 127 / 0.4, oversample=8.0)
+    k = np.arange(0, times.size - 1, 37)
+    t, f = _golden_sections(s, times[k], times[k + 1])
+    for j, kk in enumerate(k):
+        assert (t[j], f[j]) == _reference_golden_section(s, float(times[kk]), float(times[kk + 1]))
