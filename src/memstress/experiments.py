@@ -100,8 +100,10 @@ class ExperimentConfig:
             )
         if not (0.0 < self.delta <= 0.5):
             raise ConfigError(f"delta: must lie in (0, 0.5], got {self.delta}")
-        if self.t_factor < 10.0:
-            raise ConfigError(f"t_factor: must be >= 10 (retuning bound), got {self.t_factor}")
+        if not (np.isfinite(self.t_factor) and self.t_factor >= 10.0):
+            raise ConfigError(
+                f"t_factor: must be finite and >= 10 (retuning bound), got {self.t_factor}"
+            )
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigError(f"threshold: must lie in (0, 1], got {self.threshold}")
         if self.digits() is None:

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 MIN_TIME_FACTOR = 10.0
-RETUNE_EPS = 1e-6  # documented fidelity deficit bound for retuned chains
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class RetunePlan:
     @property
     def shifts(self) -> np.ndarray:
         return self.retuned - self.original
-
-    @property
-    def grid(self) -> float:
-        return math.pi / self.t
 
 
 def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:

@@ -219,20 +219,16 @@ def _twisted_endpoints(diag: np.ndarray, off: np.ndarray, lam: np.ndarray):
 
 def _block_split(diag: np.ndarray, off: np.ndarray, zeros: np.ndarray) -> SpectralData:
     M = diag.size
-    starts = [0] + [int(z) + 1 for z in zeros]
-    ends = [int(z) + 1 for z in zeros] + [M]
-    entries = []
-    for s, e in zip(starts, ends):
+    bounds = np.concatenate(([0], zeros + 1, [M]))
+    lam, first, last = [], [], []
+    for s, e in zip(bounds[:-1], bounds[1:]):
         sub = eigh_tridiag(SymTridiag(diag[s:e], off[s : e - 1]))
-        for k in range(sub.dim):
-            f = sub.first_components[k] if s == 0 else 0.0
-            l = sub.last_components[k] if e == M else 0.0
-            entries.append((float(sub.eigenvalues[k]), f, l))
-    entries.sort(key=lambda t: t[0])
-    lam = np.array([t[0] for t in entries])
-    first = np.array([t[1] for t in entries])
-    last = np.array([t[2] for t in entries])
-    return SpectralData(lam, first, last)
+        lam.append(sub.eigenvalues)
+        first.append(sub.first_components if s == 0 else np.zeros(sub.dim))
+        last.append(sub.last_components if e == M else np.zeros(sub.dim))
+    # a stable sort keeps tied eigenvalues in block order
+    order = np.argsort(np.concatenate(lam), kind="stable")
+    return SpectralData(*(np.concatenate(parts)[order] for parts in (lam, first, last)))
 
 
 def check_dense_symmetric(a: np.ndarray) -> np.ndarray:

@@ -79,12 +79,15 @@ def test_load_config_rejects_empty_n_range(tmp_path, value):
 def test_config_validation_names_field():
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(experiment="nope").validated()
-    with pytest.raises(ConfigError, match="delta"):
-        ExperimentConfig(experiment="duality-verify", delta=-1.0).validated()
-    with pytest.raises(ConfigError, match="threshold"):
-        ExperimentConfig(experiment="duality-verify", threshold=2.0).validated()
-    with pytest.raises(ConfigError, match="t_factor"):
-        ExperimentConfig(experiment="duality-verify", t_factor=1.0).validated()
+    for delta in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="delta"):
+            ExperimentConfig(experiment="duality-verify", delta=delta).validated()
+    for threshold in (2.0, float("nan")):
+        with pytest.raises(ConfigError, match="threshold"):
+            ExperimentConfig(experiment="duality-verify", threshold=threshold).validated()
+    for t_factor in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="t_factor"):
+            ExperimentConfig(experiment="duality-verify", t_factor=t_factor).validated()
     with pytest.raises(ConfigError, match="precision"):
         ExperimentConfig(experiment="duality-verify", precision="quad").validated()
     with pytest.raises(ConfigError, match="seed"):
@@ -143,6 +146,11 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     # config error paths return 1
     assert main(["run", "--experiment", "does-not-exist", "--out", str(tmp_path)]) == 1
     assert main(["run", "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("experiment = ising-splitting\nbogus = 1\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: bogus: unknown config key\n"
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,11 @@ def test_diagonal_matrix_block_split():
     # endpoint components sit on the matching basis vectors
     assert np.allclose(s.first_components, [0.0, 0.0, 1.0])
     assert np.allclose(s.last_components, [0.0, 1.0, 0.0])
+    # tied eigenvalues keep block order
+    s = eigh_tridiag(SymTridiag(np.array([2.0, 1.0, 2.0]), np.zeros(2)))
+    assert s.eigenvalues.tolist() == [1.0, 2.0, 2.0]
+    assert s.first_components.tolist() == [0.0, 1.0, 0.0]
+    assert s.last_components.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_single_site():
