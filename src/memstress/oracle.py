@@ -158,15 +158,20 @@ def _expm_tridiag(alphas, betas, tau: float) -> np.ndarray:
 
 
 def krylov_propagate(
-    h: PauliSum, v: DenseState, t: float, tol: float = KRYLOV_TOL
+    h: PauliSum, v: DenseState, t: float, tol: float = KRYLOV_TOL, counts=None
 ) -> DenseState:
     """exp(-i H t)|v> by adaptive short-step Lanczos.
 
     Steps are split until the standard posterior estimate beta_m * |y_m|
     stays within the per-step error budget; an invariant subspace (happy
     breakdown) finishes the remaining time in one exact step.  The result is
-    renormalized, bounding unitarity drift by the same tolerance.
+    renormalized, bounding unitarity drift by the same tolerance.  A
+    ``collections.Counter`` passed as ``counts`` tallies the call under
+    ``"krylov_propagate_calls"`` and each Lanczos basis built under
+    ``"lanczos_bases"``; it changes no arithmetic.
     """
+    if counts is not None:
+        counts["krylov_propagate_calls"] += 1
     if t < 0:
         raise ValueError("time must be nonnegative")
     if tol <= 0:
@@ -183,6 +188,8 @@ def krylov_propagate(
     attempts = 0
     while remaining > 1e-15 * t:
         vecs, alphas, betas, happy = _lanczos_basis(h, state, _KRYLOV_MAX_DIM, breakdown)
+        if counts is not None:
+            counts["lanczos_bases"] += 1
         tau = remaining if happy else min(step, remaining)
         while True:
             y = _expm_tridiag(alphas, betas, tau)
@@ -352,15 +359,19 @@ def _excitation_number(vacuum: DenseState, state: DenseState, sites: list[int]) 
 def two_excitation_transfer(
     lat: ToricLattice,
     i: int,
-    t: float,
+    times,
     deltaH: PauliSum,
     tol: float = KRYLOV_TOL,
-) -> float:
-    """|<psi| (U_{N-i-1} U_{N-i-2})^dag exp(-i (H + dH) t) U_i U_{i-1} |psi>|^2.
+    counts=None,
+) -> list[float]:
+    """|<psi| (U_{N-i-1} U_{N-i-2})^dag exp(-i (H + dH) t) U_i U_{i-1} |psi>|^2 for each t.
 
     A single fault at site (2i, 0) with i > 0 is the adjacent-pair string
     U_i U_{i-1}; under the engineered hopping it mirrors to the opposite
-    pair in the transfer time.
+    pair in the transfer time.  The ground state, H + dH and both pair
+    states are built once per sweep; each time propagates the initial pair
+    on its own, so a value does not depend on the other times.  ``counts``
+    is handed to ``krylov_propagate``.
     """
     if not 0 < i <= lat.N - 2:
         raise ValueError(f"site index {i} out of range 1..{lat.N - 2}")
@@ -373,8 +384,10 @@ def two_excitation_transfer(
     final = psi.apply_term(
         multiply(toric_error_string(lat, j), toric_error_string(lat, j - 1))
     )
-    evolved = krylov_propagate(h_total, init, t, tol)
-    return float(abs(final.overlap(evolved)) ** 2)
+    return [
+        float(abs(final.overlap(krylov_propagate(h_total, init, t, tol, counts))) ** 2)
+        for t in times
+    ]
 
 
 def ising_ground_state(lat: IsingLattice) -> DenseState:

@@ -7,6 +7,24 @@ so the stored data always denotes the operator exactly, phase included.
 
 Qubit 0 is the least-significant bit of both the masks and the statevector
 index.  Lattice geometry lives elsewhere; this module only sees flat indices.
+
+Dense action.  ``apply_to_state`` and ``PauliSum.apply`` share one kernel
+that works in float64 arithmetic.  A real state (an ARPACK vector, say) goes
+in as it is.  A complex state is its float64 view: a real state with one
+more axis (re/im) that is never flipped or signed.  That axis is dropped when
+the imaginary parts of the state and of every coefficient are all zero.
+
+On the ``(2,)*n`` view of the state, where qubit q is axis ``n-1-q``, X^x
+reverses the axes of x's bits; a run of adjacent qubits with equal x bits is
+one axis.  The Z sign at output index j is (-1)^parity(x&z) (-1)^popcount(j&z).
+Its second factor is the product of two sign vectors over the high and low
+halves of j, built from ``arange`` indices on every call; nothing is cached
+between calls.  A real coefficient c folds with the sign into one ±c factor,
+so each term is one multiply of the flipped view into a reused buffer, a
+multiply per sign vector, and one ``+=`` into the sum, in term order.  A
+coefficient with a nonzero imaginary part takes numpy's complex ``*=`` after
+the exact sign step, as the former complex kernel did.  Every value equals
+that kernel's up to the sign of a zero, and sums equal it byte for byte.
 """
 
 from __future__ import annotations
@@ -167,27 +185,78 @@ def conjugate_by_circuit(p: PauliTerm, circuit) -> PauliTerm:
 
 
 def apply_to_state(p: PauliTerm, v: np.ndarray) -> np.ndarray:
-    """Return ``p @ v`` for a dense statevector ``v`` of length ``2**n``.
+    """Return ``p @ v`` as a complex vector, for a dense state of length ``2**n``.
 
-    out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x], computed on the
-    ``(2,)*n`` view of ``v``, where qubit q is axis ``n-1-q``: X^x flips the
-    axes of x's bits, then each bit q of z negates the half whose index on
-    axis ``n-1-q`` is ``1 ^ x_q``.
+    out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x]; ``v`` may be
+    real, integer or complex.  This is the one-term case of the kernel
+    described in the module docstring.
     """
+    return _apply_terms((p,), p.n_qubits, v)
+
+
+def _sign_vector(mask: int, index: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(k & mask) for each k < 2**32 of ``index``, as float64."""
+    parity = index & mask
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    return 1.0 - 2.0 * (parity & 1)
+
+
+def _flipped(planes: np.ndarray, x_mask: int, n: int, tail: tuple) -> np.ndarray:
+    """The view ``planes[j ^ x_mask]``, one axis per run of equal x bits."""
+    shape, flips = [], []
+    q = n - 1
+    while q >= 0:
+        bit = (x_mask >> q) & 1
+        k = q
+        while k >= 0 and (x_mask >> k) & 1 == bit:
+            k -= 1
+        shape.append(1 << (q - k))
+        flips.append(slice(None, None, -1) if bit else slice(None))
+        q = k
+    return planes.reshape(tuple(shape) + tail)[tuple(flips)]
+
+
+def _apply_terms(terms, n: int, v) -> np.ndarray:
+    """Sum of ``t @ v`` over ``terms`` in order; see the module docstring."""
     v = np.asarray(v)
-    n = p.n_qubits
-    if v.shape != (1 << n,):
+    dim = 1 << n
+    if v.shape != (dim,):
         raise ValueError(f"state length {v.shape} does not match 2**{n}")
-    flips = [n - 1 - q for q in range(n) if (p.x_mask >> q) & 1]
-    out = np.flip(v.reshape((2,) * n), axis=flips).astype(complex)
-    for q in range(n):
-        if (p.z_mask >> q) & 1:
-            b = 1 ^ ((p.x_mask >> q) & 1)
-            half = out[(slice(None),) * (n - 1 - q) + (slice(b, b + 1),)]
-            np.negative(half, out=half)
-    if p.coeff != 1.0:
-        out *= p.coeff
-    return out.reshape(-1)
+    coeffs = [complex(t.coeff) for t in terms]
+    if any(c.imag != 0.0 for c in coeffs) or (np.iscomplexobj(v) and v.imag.any()):
+        planes = np.ascontiguousarray(v, dtype=complex).view(np.float64)
+        tail = (2,)
+    else:
+        planes = np.ascontiguousarray(v.real, dtype=np.float64)
+        tail = ()
+    lo = n // 2
+    hi_index = np.arange(1 << (n - lo))
+    lo_index = np.arange(1 << lo)
+    acc = np.zeros(planes.size)
+    buf = np.empty(planes.size)
+    rows = buf.reshape(hi_index.size, -1)  # high half of j by low half (and re/im)
+    for t, c in zip(terms, coeffs):
+        scale = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
+        if c.imag == 0.0:
+            scale *= c.real
+        z_hi = t.z_mask >> lo
+        z_lo = t.z_mask & ((1 << lo) - 1)
+        if t.x_mask == 0 and z_hi:
+            signed = scale * _sign_vector(z_hi, hi_index)
+            np.multiply(planes.reshape(rows.shape), signed[:, None], out=rows)
+        else:
+            src = _flipped(planes, t.x_mask, n, tail)
+            np.multiply(src, scale, out=buf.reshape(src.shape))
+            if z_hi:
+                rows *= _sign_vector(z_hi, hi_index)[:, None]
+        if z_lo:
+            rows *= np.repeat(_sign_vector(z_lo, lo_index), len(tail) + 1)
+        if c.imag != 0.0:
+            cbuf = buf.view(complex)
+            cbuf *= c
+        acc += buf
+    return acc.view(complex) if tail else acc.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -241,11 +310,11 @@ class PauliSum:
         )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Dense action, summed term-wise (no matrix materialization)."""
-        out = np.zeros(1 << self.n_qubits, dtype=complex)
-        for t in self.terms:
-            out += apply_to_state(t, v)
-        return out
+        """Dense action ``sum_t t @ v`` as a complex vector, summed in term order.
+
+        No matrix is built; see the module docstring for the kernel.
+        """
+        return _apply_terms(self.terms, self.n_qubits, v)
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
         """A term X^x Z^z is Hermitian up to the sign (-1)^{|x & z|}."""

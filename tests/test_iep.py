@@ -178,3 +178,24 @@ def test_toric_retune_rebuilds_each_ladder_time_once(monkeypatch, tmp_path):
     cfg = experiments.ExperimentConfig(experiment="toric-retune", N_range=[8], output_dir=str(tmp_path))
     assert experiments.run(cfg) == 0
     assert len(times) == 9 and len(set(times)) == 9
+
+
+def test_toric_retune_times_pin_the_uniform_chain(tmp_path):
+    # the N-site toric chain has N - 1 string states, diagonal 2 and hopping
+    # delta/2, so lam_k = 2 + delta cos(k pi / N) for k = 1 .. N - 1; the
+    # smallest neighbour gap sits at the band edge, k = 1
+    import csv
+
+    import memstress.experiments as experiments
+
+    delta, t_factor = 0.1, 50.0
+    cfg = experiments.ExperimentConfig(experiment="toric-retune", N_range=[8, 16, 32],
+                                       delta=delta, t_factor=t_factor, output_dir=str(tmp_path))
+    assert experiments.run(cfg) == 0
+    with open(tmp_path / "toric_retune.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["N"]) for r in rows] == [8, 16, 32]
+    for r in rows:
+        N = int(r["N"])
+        gap = 2.0 * delta * math.sin(math.pi / (2 * N)) * math.sin(3 * math.pi / (2 * N))
+        assert float(r["t"]) == pytest.approx(t_factor * math.pi / gap, rel=1e-9)

@@ -10,6 +10,7 @@ from memstress.lattices import (
     toric_hamiltonian,
     toric_duality_circuit,
     toric_logicals,
+    toric_error_string,
     toric_perturbation,
 )
 from memstress.oracle import (
@@ -29,7 +30,7 @@ from memstress.oracle import (
     two_excitation_transfer,
     verify_duality_map,
 )
-from memstress.pauli import PauliSum, pauli_x, pauli_z
+from memstress.pauli import PauliSum, multiply, pauli_x, pauli_z
 
 
 @pytest.fixture(scope="module")
@@ -229,13 +230,41 @@ def test_two_excitation_mirror_fixed_point(toric3):
     J = christandl_couplings(3)
     dh = toric_perturbation(lat, J, np.zeros(2), delta)
     t_star = np.pi * 2 / (4.0 * delta)
-    assert two_excitation_transfer(lat, 1, 0.0, dh) == pytest.approx(1.0, abs=1e-9)
-    assert two_excitation_transfer(lat, 1, t_star, dh) >= 0.99
-    assert two_excitation_transfer(lat, 1, 0.37 * t_star, dh) >= 0.99  # eigenstate sector
+    at_zero, at_star, inside = two_excitation_transfer(lat, 1, [0.0, t_star, 0.37 * t_star], dh)
+    assert at_zero == pytest.approx(1.0, abs=1e-9)
+    assert at_star >= 0.99
+    assert inside >= 0.99  # eigenstate sector
     with pytest.raises(ValueError):
-        two_excitation_transfer(lat, 0, 1.0, dh)
+        two_excitation_transfer(lat, 0, [1.0], dh)
     with pytest.raises(ValueError):
-        two_excitation_transfer(lat, 2, 1.0, dh)
+        two_excitation_transfer(lat, 2, [1.0], dh)
+
+
+def _reference_two_excitation_transfer(lat, i, t, deltaH):
+    """The former one-time function: rebuilds the ground state and H + dH per call."""
+    psi = toric_ground_state(lat)
+    h_total = toric_hamiltonian(lat) + deltaH
+    init = psi.apply_term(multiply(toric_error_string(lat, i), toric_error_string(lat, i - 1)))
+    j = lat.N - 1 - i
+    final = psi.apply_term(multiply(toric_error_string(lat, j), toric_error_string(lat, j - 1)))
+    evolved = krylov_propagate(h_total, init, t)
+    return float(abs(final.overlap(evolved)) ** 2)
+
+
+def test_two_excitation_sweep_equals_per_time_values(toric3):
+    from collections import Counter
+
+    from memstress.transfer import christandl_couplings
+
+    lat = toric3[0]
+    dh = toric_perturbation(lat, christandl_couplings(3), np.zeros(2), 0.1)
+    t_star = np.pi * 2 / (4.0 * 0.1)
+    times = [0.0, 0.125 * t_star, 0.37 * t_star, t_star]
+    counts = Counter()
+    swept = two_excitation_transfer(lat, 1, times, dh, counts=counts)
+    assert swept == [_reference_two_excitation_transfer(lat, 1, t, dh) for t in times]
+    assert counts["krylov_propagate_calls"] == len(times)
+    assert counts["lanczos_bases"] >= len(times) - 1  # t = 0 builds none
 
 
 def test_ising_prefix_basis_and_closure():
@@ -297,3 +326,29 @@ def test_duality_circuit_is_byte_equal_to_index_permutation(toric3):
     circuit = toric_duality_circuit(lat)
     got = apply_circuit_to_state(circuit, psi).amplitudes
     assert got.tobytes() == _reference_circuit(circuit, psi.amplitudes).tobytes()
+
+
+def test_oracle_summaries_record_their_work(tmp_path, monkeypatch):
+    import json
+
+    from memstress.experiments import ExperimentConfig, run
+
+    dtypes = []
+    apply = PauliSum.apply
+
+    def recording(self, v):
+        dtypes.append(np.asarray(v).dtype)
+        return apply(self, v)
+
+    monkeypatch.setattr(PauliSum, "apply", recording)
+    for name, N in (("oracle-verify", 2), ("two-excitation", 3)):
+        assert run(ExperimentConfig(experiment=name, N_range=[N], output_dir=str(tmp_path))) == 0
+    read = lambda slug: json.loads((tmp_path / f"{slug}_summary.json").read_text())["summary"]
+    oracle, pair = read("oracle_verify"), read("two_excitation")
+    # ARPACK's matvecs are the only real inputs; scipy's integer dtype probe is gone
+    assert oracle["eigsh_matvecs"] == dtypes.count(np.float64) > 0
+    assert all(dt.kind in "fc" for dt in dtypes)
+    assert set(oracle["stage_seconds"]) == {"ground_state", "eigsh"}  # N = 2 stops before Krylov
+    assert all(s >= 0.0 for s in oracle["stage_seconds"].values())
+    assert pair["krylov_propagate_calls"] == 9
+    assert pair["lanczos_bases"] >= 8  # t = 0 builds none

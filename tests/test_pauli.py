@@ -283,3 +283,74 @@ def test_apply_agrees_with_index_table_kernel():
             p = PauliTerm(n, x, z, _SIGNED_COEFFS[rng.integers(len(_SIGNED_COEFFS))])
             for v in (real, cplx):
                 assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
+
+
+def test_complex_state_with_zero_imaginary_part_matches_real_state():
+    rng = np.random.default_rng(22)
+    for n in (1, 4, 11):
+        real, _ = _signed_zero_states(rng, n)
+        v = real.astype(complex)
+        v.imag = np.where(rng.random(1 << n) < 0.5, -0.0, 0.0)
+        v.imag[0] = -0.0
+        assert np.signbit(v.imag).any() and not v.imag.any()
+        h = _random_sum(rng, n, 12)
+        h = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real) for t in h], n)
+        assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+        assert h.apply(v).tobytes() == h.apply(real).tobytes()
+        for t in h:
+            assert np.array_equal(apply_to_state(t, v), _reference_apply(t, v))
+
+
+def test_integer_and_float_states_give_complex_output():
+    rng = np.random.default_rng(23)
+    n = 6
+    h = _random_sum(rng, n, 10)
+    ints = rng.integers(-3, 4, size=1 << n)
+    for v in (ints, ints.astype(np.float32), ints.astype(float), np.zeros(1 << n, dtype=int)):
+        out = h.apply(v)
+        assert out.dtype == np.complex128 and out.shape == (1 << n,)
+        assert out.tobytes() == _reference_sum_apply(h, v).tobytes()
+        for t in h:
+            one = apply_to_state(t, v)
+            assert one.dtype == np.complex128
+            assert np.array_equal(one, _reference_apply(t, v))
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_flips_and_signs_on_the_end_qubits(n):
+    rng = np.random.default_rng(n)
+    ends = (0, 1, 1 << (n - 1), 1 | (1 << (n - 1)))
+    for v in _signed_zero_states(rng, n):
+        for x in ends:
+            for z in ends:
+                for c in (0.5, -1j, 2.0 - 1.0j):
+                    p = PauliTerm(n, x, z, c)
+                    assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
+                    h = PauliSum.from_terms([p, PauliTerm(n, z, x, 0.25)], n)
+                    assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+
+
+def test_single_qubit_against_dense_matrices():
+    rng = np.random.default_rng(24)
+    for v in (*_signed_zero_states(rng, 1), np.array([1.0, -2.0])):
+        for x in (0, 1):
+            for z in (0, 1):
+                for c in _SIGNED_COEFFS:
+                    p = PauliTerm(1, x, z, c)
+                    assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
+                    assert np.allclose(apply_to_state(p, v), term_to_dense(p) @ v, atol=0.0)
+        h = PauliSum.from_terms([pauli_x(1, 0), pauli_y(1, 0).scaled(0.5), pauli_z(1, 0)], 1)
+        assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+
+
+def test_imaginary_coefficient_on_real_state():
+    rng = np.random.default_rng(25)
+    n = 8
+    v = rng.standard_normal(1 << n)
+    for x, z in ((0, 0), (5, 0), (0, 129), (77, 200)):
+        p = PauliTerm(n, x, z, 1.5j)
+        out = apply_to_state(p, v)
+        assert np.array_equal(out, _reference_apply(p, v))
+        assert not out.real.any() and np.array_equal(out.imag, _reference_apply(p.scaled(-1j), v).real)
+        h = PauliSum.from_terms([p, PauliTerm(n, z, x, -0.75)], n)
+        assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
