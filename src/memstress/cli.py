@@ -15,7 +15,6 @@ import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file, run
 from .spectral import NumericalError
-from .splitting import DEFAULT_DPS
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memstress", description=__doc__.splitlines()[0])
@@ -46,8 +45,6 @@ def _cmd_list() -> int:
     print("  t_factor     transfer time in units of pi/min_gap, >= 10   [50]")
     print("  threshold    transfer fidelity threshold, in (0, 1]   [0.999]")
     print("  output_dir   where CSV/JSON/SVG artifacts go   [results]")
-    print(f"  precision    'double' ({DEFAULT_DPS}-digit splitting bisection) "
-          "or 'extended:<digits>'   [double]")
     print("  seed         nonnegative integer   [0]")
     print("  svg          true/false   [false]")
     return 0

@@ -52,7 +52,7 @@ from .oracle import (
 )
 from .reporting import write_csv, write_json, write_svg_plot
 from .spectral import NumericalError, eigh_tridiag, min_gap
-from .splitting import DEFAULT_DPS, measure_splitting, plateau_spectrum, predicted_order
+from .splitting import measure_splitting, plateau_spectrum, predicted_order
 from .transfer import (
     christandl_couplings,
     fidelity,
@@ -77,7 +77,6 @@ class ExperimentConfig:
     t_factor: float = 50.0
     threshold: float = 0.999
     output_dir: str = "results"
-    precision: str = "double"
     seed: int = 0
     svg: bool = False
 
@@ -107,24 +106,9 @@ class ExperimentConfig:
             )
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigError(f"threshold: must lie in (0, 1], got {self.threshold}")
-        if self.digits() is None:
-            raise ConfigError(
-                f"precision: must be 'double' or 'extended:<digits>', got {self.precision!r}"
-            )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed}")
         return self
-
-    def digits(self) -> int | None:
-        if self.precision == "double":
-            return DEFAULT_DPS
-        if self.precision.startswith("extended:"):
-            try:
-                d = int(self.precision.split(":", 1)[1])
-            except ValueError:
-                return None
-            return d if d >= 30 else None
-        return None
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,6 @@ def exp_toric_transfer(cfg: ExperimentConfig) -> Outcome:
 
 def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
     deltas = _delta_ladder(cfg.delta)
-    dps = cfg.digits()
     rows = []
     checks = []
     summary: dict = {}
@@ -269,7 +252,6 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
             (0, 1),
             deltas,
             predicted=predicted_order(M, 1),
-            dps=dps,
         )
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))
@@ -284,13 +266,13 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
         )
         summary[f"order_N{N}"] = fit.fitted_order
         summary[f"predicted_N{N}"] = fit.predicted_order
+        summary[f"digits_N{N}"] = int(fit.digits.max())
     m_flat = ising_surface_diagonal(cfg.N_range[0]).size
     flat = measure_splitting(
         lambda d: SymTridiag(np.full(m_flat, 2.0), np.full(m_flat - 1, 0.5 * d)),
         (0, 1),
         deltas,
         predicted=1,
-        dps=dps,
     )
     checks.append(
         Check("contrast_flat_order", flat.fitted_order, "1 +/- 0.05",
@@ -354,7 +336,6 @@ def _mirror_symmetric_bands(rng, k: int, M: int) -> np.ndarray:
 def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
     k = 2
     deltas = cfg.delta * np.logspace(-1.5, -0.5, 6)
-    dps = cfg.digits()
     rng = np.random.default_rng(cfg.seed)
     rows = []
     checks = []
@@ -371,7 +352,6 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
             (0, 1),
             deltas,
             predicted=predicted_order(M, 1, k),
-            dps=dps,
         )
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))
@@ -386,6 +366,7 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
         )
         summary[f"banded_order_N{N}"] = fit.fitted_order
         summary[f"bound_N{N}"] = bound
+        summary[f"digits_N{N}"] = int(fit.digits.max())
     return Outcome(
         tables={"": (["N", "delta", "splitting"], rows)},
         summary=summary,
@@ -629,6 +610,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
 def load_config_file(path: str | Path) -> dict:
     """Parse a key = value config file (one pair per line, # comments)."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -637,7 +619,11 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"{key}: given twice, on lines {lines[key]} and {lineno}")
+        raw[key] = value.strip()
+        lines[key] = lineno
     return _coerce(raw)
 
 

@@ -185,12 +185,12 @@ def krylov_propagate(
     breakdown = 1e-13 * scale
     remaining = t
     step = min(t, 10.0 / scale)
-    attempts = 0
     while remaining > 1e-15 * t:
         vecs, alphas, betas, happy = _lanczos_basis(h, state, _KRYLOV_MAX_DIM, breakdown)
         if counts is not None:
             counts["lanczos_bases"] += 1
         tau = remaining if happy else min(step, remaining)
+        attempts = 0
         while True:
             y = _expm_tridiag(alphas, betas, tau)
             if happy:

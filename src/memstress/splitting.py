@@ -7,6 +7,8 @@ k-banded perturbation).  The splittings shrink below double precision almost
 immediately, so eigenvalues are also computed at extended precision by
 bisection on one band LDL^T inertia count: a tridiagonal chain is
 bandwidth 1, a k-banded perturbation bandwidth k, and a count costs O(M k^2).
+The digits are worked out per point: a bisection starts at DEFAULT_DPS and
+doubles them while the splitting stays below the floor 10^-(dps-12).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ __all__ = [
 ]
 
 DOUBLE_FLOOR = 1e-12  # relative splitting below which extended precision kicks in
-DEFAULT_DPS = 60
+DEFAULT_DPS = 60  # digits of the first bisection of every extended-precision point
+MAX_DPS = 480  # digits of the last doubling before a point is masked
 MIN_FIT_POINTS = 5
 
 
@@ -50,6 +53,7 @@ class SplittingFit:
     stderr: float
     predicted_order: int | None
     below_floor: np.ndarray  # mask of points too small even in extended precision
+    digits: np.ndarray  # bisection digits each point was judged at
 
     @property
     def ok(self) -> bool:
@@ -127,13 +131,18 @@ def _bisect_eigenvalue(bands, k: int, lo, hi, tol):
     return (lo + hi) / 2
 
 
-def tridiag_eigenvalue_mp(m: SymTridiag, k: int, dps: int = DEFAULT_DPS):
-    """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits."""
+def _band_eigenvalue_mp(bands, k: int, scale: float, dps: int):
+    """k-th eigenvalue at dps digits from float bands; scale bounds the spectral radius."""
     with mp.workdps(dps):
-        bands = [[mp.mpf(x) for x in m.diag], [mp.mpf(x) for x in m.offdiag]]
-        radius = mp.mpf(m.norm_estimate()) + 1
+        bands = [[mp.mpf(x) for x in band] for band in bands]
+        radius = mp.mpf(scale) + 1
         tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
         return _bisect_eigenvalue(bands, k, -radius, radius, tol)
+
+
+def tridiag_eigenvalue_mp(m: SymTridiag, k: int, dps: int = DEFAULT_DPS):
+    """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits."""
+    return _band_eigenvalue_mp([m.diag, m.offdiag], k, m.norm_estimate(), dps)
 
 
 def dense_eigenvalue_mp(a: np.ndarray, k: int, dps: int = DEFAULT_DPS):
@@ -145,38 +154,42 @@ def dense_eigenvalue_mp(a: np.ndarray, k: int, dps: int = DEFAULT_DPS):
     a = check_dense_symmetric(a)
     rows, cols = np.nonzero(a)
     width = int(np.max(np.abs(rows - cols), initial=0))
-    with mp.workdps(dps):
-        bands = [[mp.mpf(x) for x in np.diagonal(a, b)] for b in range(width + 1)]
-        radius = mp.mpf(float(np.max(np.sum(np.abs(a), axis=1)))) + 1
-        tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
-        return _bisect_eigenvalue(bands, k, -radius, radius, tol)
+    bands = [np.diagonal(a, b) for b in range(width + 1)]
+    return _band_eigenvalue_mp(bands, k, float(np.max(np.sum(np.abs(a), axis=1))), dps)
 
 
-def _pair_splitting(matrix, pair: tuple[int, int], dps: int) -> float:
-    """Eigenvalue difference for the ranked pair.
+def _above_floor(gap: float, dps: int) -> bool:
+    """Whether a splitting bisected at dps digits clears that precision's floor."""
+    return gap > 10.0 ** (-(dps - 12))
 
-    A double-precision gap above the floor is returned as is; a smaller one
-    is recomputed by bisection at the fixed ``dps`` digits.
+
+def _spectrum(matrix):
+    """(double eigenvalues, norm scale, mp eigenvalue function) of a chain or dense matrix."""
+    if isinstance(matrix, SymTridiag):
+        return eigh_tridiag(matrix).eigenvalues, matrix.norm_estimate(), tridiag_eigenvalue_mp
+    w, _ = eigh_dense_symmetric(matrix)
+    return w, float(np.max(np.sum(np.abs(matrix), axis=1))), dense_eigenvalue_mp
+
+
+def _pair_splitting(matrix, pair: tuple[int, int]) -> tuple[float, int]:
+    """Eigenvalue difference for the ranked pair and the digits it was judged at.
+
+    A double gap above DOUBLE_FLOOR counts as DEFAULT_DPS digits; a smaller
+    one is bisected from DEFAULT_DPS digits, doubling them up to MAX_DPS
+    while it stays below the floor.
     """
     lo, hi = pair
-    if isinstance(matrix, SymTridiag):
-        s = eigh_tridiag(matrix)
-        w = s.eigenvalues
-        scale = matrix.norm_estimate()
-    else:
-        w, _ = eigh_dense_symmetric(matrix)
-        scale = float(np.max(np.sum(np.abs(matrix), axis=1)))
+    w, scale, eigenvalue_mp = _spectrum(matrix)
     gap = float(w[hi] - w[lo])
+    dps = DEFAULT_DPS
     if gap > DOUBLE_FLOOR * max(scale, 1.0):
-        return gap
-    with mp.workdps(dps):
-        if isinstance(matrix, SymTridiag):
-            e0 = tridiag_eigenvalue_mp(matrix, lo, dps)
-            e1 = tridiag_eigenvalue_mp(matrix, hi, dps)
-        else:
-            e0 = dense_eigenvalue_mp(matrix, lo, dps)
-            e1 = dense_eigenvalue_mp(matrix, hi, dps)
-        return float(e1 - e0)
+        return gap, dps
+    while True:
+        with mp.workdps(dps):
+            gap = float(eigenvalue_mp(matrix, hi, dps) - eigenvalue_mp(matrix, lo, dps))
+        if _above_floor(gap, dps) or dps >= MAX_DPS:
+            return gap, dps
+        dps *= 2
 
 
 def measure_splitting(
@@ -184,43 +197,37 @@ def measure_splitting(
     pair: tuple[int, int],
     deltas,
     predicted: int | None = None,
-    dps: int = DEFAULT_DPS,
 ) -> SplittingFit:
     """Fit log(splitting) against log(delta) for one degenerate pair.
 
     matrix_family(delta) builds the perturbed matrix; pair gives the 0-based
     ascending ranks of the two levels, which must coincide exactly at
-    delta = 0.  Splittings below the extended-precision floor are masked and
-    excluded from the fit; if fewer than MIN_FIT_POINTS survive this is a
-    numerical error.
+    delta = 0.  Each splitting is bisected at the fewest doublings of
+    DEFAULT_DPS digits that lift it above their floor; one still below the
+    floor at MAX_DPS digits is masked and excluded from the fit.  If fewer
+    than MIN_FIT_POINTS survive this is a numerical error.
     """
     deltas = np.asarray(sorted(deltas), dtype=float)
     if deltas.size < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} perturbation strengths")
     if np.any(deltas <= 0.0):
         raise ValueError("perturbation strengths must be positive")
-    base = matrix_family(0.0)
-    if isinstance(base, SymTridiag):
-        w0 = eigh_tridiag(base).eigenvalues
-    else:
-        w0, _ = eigh_dense_symmetric(base)
+    w0 = _spectrum(matrix_family(0.0))[0]
     if abs(w0[pair[0]] - w0[pair[1]]) > 0.0:
         raise ValueError(
             f"pair {pair} is not degenerate at delta = 0: "
             f"{w0[pair[0]]!r} vs {w0[pair[1]]!r}"
         )
-    floor = 10.0 ** (-(dps - 12))
-    splittings = np.empty(deltas.size)
-    below = np.zeros(deltas.size, dtype=bool)
-    for idx, d in enumerate(deltas):
-        gap = _pair_splitting(matrix_family(float(d)), pair, dps)
-        splittings[idx] = gap
-        below[idx] = not (gap > floor)
+    points = [_pair_splitting(matrix_family(float(d)), pair) for d in deltas]
+    splittings = np.array([gap for gap, _ in points])
+    digits = np.array([dps for _, dps in points])
+    below = np.array([not _above_floor(gap, dps) for gap, dps in points])
     good = ~below
     if np.count_nonzero(good) < MIN_FIT_POINTS:
         raise NumericalError(
             "too few splittings above the extended-precision floor "
-            f"({np.count_nonzero(good)} of {deltas.size}); raise dps or delta"
+            f"({np.count_nonzero(good)} of {deltas.size} at up to {MAX_DPS} digits); "
+            "raise delta"
         )
     x = np.log(deltas[good])
     y = np.log(splittings[good])
@@ -232,4 +239,5 @@ def measure_splitting(
         stderr=float(np.sqrt(cov[0, 0])),
         predicted_order=predicted,
         below_floor=below,
+        digits=digits,
     )

@@ -125,7 +125,7 @@ def test_criterion_6_duality_map():
 def test_criterion_7_ising_splitting_orders(tmp_path):
     started = time.perf_counter()
     code, checks = _run_experiment(
-        tmp_path, experiment="ising-splitting", N_range=[3, 4], delta=0.1, precision="double"
+        tmp_path, experiment="ising-splitting", N_range=[3, 4], delta=0.1
     )
     order3 = checks["splitting_order_N3"]
     order4 = checks["splitting_order_N4"]

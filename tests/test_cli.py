@@ -88,19 +88,10 @@ def test_config_validation_names_field():
     for t_factor in (1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="t_factor"):
             ExperimentConfig(experiment="duality-verify", t_factor=t_factor).validated()
-    with pytest.raises(ConfigError, match="precision"):
-        ExperimentConfig(experiment="duality-verify", precision="quad").validated()
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(experiment="duality-verify", seed=-1).validated()
     with pytest.raises(ConfigError, match="N_range"):
         ExperimentConfig(experiment="duality-verify", N_range=[1]).validated()
-
-
-def test_precision_parsing():
-    assert ExperimentConfig(experiment="duality-verify").digits() == 60
-    cfg = ExperimentConfig(experiment="duality-verify", precision="extended:80")
-    assert cfg.digits() == 80
-    assert ExperimentConfig(experiment="x", precision="extended:4").digits() is None
 
 
 def test_write_csv_header_only(tmp_path):
@@ -151,6 +142,18 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "config error: bogus: unknown config key\n"
+    # the splitting digits are worked out per point, not configured
+    cfg.write_text("experiment = ising-splitting\nprecision = extended:80\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: precision: unknown config key\n"
+
+
+def test_cli_rejects_a_key_given_twice(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("experiment = ising-splitting\nN_range = 3\n# later\nexperiment = ising-plateau\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: experiment: given twice, on lines 1 and 4\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -186,7 +189,7 @@ def test_cli_list_prints_exact_n_rule(capsys):
     out = capsys.readouterr().out
     assert "oracle-verify      N_range default [3], exactly one N from [2, 3]" in out
     assert "two-excitation     N_range default [3], exactly one N from [3]" in out
-    assert "'double' (60-digit splitting bisection)" in out
+    assert "precision" not in out
 
 
 def test_cli_runs_ising_splitting_deterministically(tmp_path):

@@ -1,3 +1,6 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,27 @@ def test_krylov_energy_conservation():
     e_after = expectation(h, evolved)
     norm_h = sum(abs(t.coeff) for t in h.terms)
     assert abs(e_after - e_before) <= 10 * tol * norm_h
+
+
+def test_krylov_halving_budget_is_per_step():
+    # a step that grew by 1.5 usually converges after one halving, so a long
+    # propagation halves about 0.58 times per basis; over these ~490 bases a
+    # 200-halving budget for the whole propagation runs out, one per step does not
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    mat = 0.5 * (g + g.conj().T)
+    w, u = np.linalg.eigh(mat)
+    # a dense stand-in for a 6-qubit PauliSum, with the attributes krylov_propagate reads
+    h = SimpleNamespace(n_qubits=6, terms=[SimpleNamespace(coeff=float(np.max(np.abs(w))))],
+                        apply=lambda v: mat @ v)
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    v /= np.linalg.norm(v)
+    counts = Counter()
+    t = 400.0
+    got = krylov_propagate(h, DenseState(6, v), t, counts=counts)
+    assert counts["lanczos_bases"] > 400
+    want = u @ (np.exp(-1j * t * w) * (u.conj().T @ v))
+    assert np.linalg.norm(got.amplitudes - want) < 1e-8
 
 
 def test_subspace_projection_cases(toric2):

@@ -1,10 +1,16 @@
+import json
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from memstress.effective import SymTridiag, banded_effective, ising_effective_surface
-from memstress.spectral import eigh_tridiag
+from memstress.experiments import ExperimentConfig, _delta_ladder, run
+from memstress.spectral import NumericalError, eigh_tridiag
 from memstress.splitting import (
+    DEFAULT_DPS,
+    MAX_DPS,
+    _pair_splitting,
     dense_eigenvalue_mp,
     measure_splitting,
     plateau_spectrum,
@@ -204,3 +210,46 @@ def test_measure_splitting_validation():
             (0, 1),
             [0.1, 0.2],
         )
+
+
+def test_ising_splitting_escalates_digits_at_small_delta(tmp_path):
+    # at delta = 1e-5 the N = 4 splittings (order 9) sit below the 60-digit
+    # floor 1e-48, so every point is bisected again at 120 digits
+    code = run(ExperimentConfig(experiment="ising-splitting", N_range=[4], delta=1e-5,
+                                output_dir=str(tmp_path)))
+    summary = json.loads((tmp_path / "ising_splitting_summary.json").read_text())["summary"]
+    assert code == 0
+    assert abs(summary["order_N4"] - 9.0) <= 0.1
+    assert summary["digits_N4"] == 120
+
+
+def test_escalated_splitting_equals_direct_bisection():
+    fit = measure_splitting(lambda d: ising_effective_surface(4, d), (0, 1),
+                            _delta_ladder(1e-5), predicted=9)
+    escalated = np.flatnonzero(fit.digits > DEFAULT_DPS)
+    assert escalated.size == fit.deltas.size
+    for idx in escalated:
+        dps = int(fit.digits[idx])
+        m = ising_effective_surface(4, float(fit.deltas[idx]))
+        with mp.workdps(dps):
+            want = float(tridiag_eigenvalue_mp(m, 1, dps) - tridiag_eigenvalue_mp(m, 0, dps))
+        assert fit.splittings[idx] == want
+
+
+def test_degenerate_family_climbs_to_the_cap_and_fails():
+    def family(d):
+        return SymTridiag(np.zeros(2), np.array([0.0]))
+
+    assert _pair_splitting(family(0.1), (0, 1)) == (0.0, MAX_DPS)
+    with pytest.raises(NumericalError, match=rf"\(0 of 6 at up to {MAX_DPS} digits\)") as err:
+        measure_splitting(family, (0, 1), np.logspace(-2, -1, 6))
+    assert "raise dps" not in str(err.value)
+
+
+def test_benchmarked_ising_chain_keeps_default_digits():
+    # the tightest benchmarked point, N = 5 at delta = 0.01, reads ~8e-47
+    # against the 60-digit floor 1e-48
+    fit = measure_splitting(lambda d: ising_effective_surface(5, d), (0, 1),
+                            _delta_ladder(0.1), predicted=17)
+    assert fit.ok
+    assert np.all(fit.digits == DEFAULT_DPS)
