@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run every named experiment with its defaults and print the check table.
+"""Run every named experiment with its defaults and print the claims table.
+
+Each check prints its value, PASS/FAIL, requirement and margin (how far
+inside its bound the value lies; ``-`` for checks without a numeric bound).
 
 Usage: python scripts/reproduce_all.py [output_dir] [--svg]
 
@@ -28,8 +31,9 @@ def main() -> int:
         )
         for check in summary["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
+            margin = "-" if check["margin"] is None else f"{check['margin']:+.4e}"
             print(f"{name:18s} {check['name']:32s} {check['value']:+.4e}  "
-                  f"{status}  [{check['requirement']}]")
+                  f"{status}  [{check['requirement']}]  margin {margin}")
         print(f"{name:18s} {'(exit ' + str(code) + ')':32s} {elapsed:>11.1f}s")
         failures += 0 if code == 0 else 1
     print(f"\n{len(EXPERIMENTS) - failures}/{len(EXPERIMENTS)} experiments fully passed")

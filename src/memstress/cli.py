@@ -11,6 +11,7 @@ error, 2 invariant violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file, run
@@ -29,6 +30,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_KEY_HELP = {
+    "experiment": "one of the names above",
+    "N_range": "comma list ('3,4') or doubling span ('16..256')",
+    "delta": "perturbation strength, in (0, 0.5]",
+    "t_factor": "transfer time in units of pi/min_gap, >= 10",
+    "threshold": "transfer fidelity threshold, in (0, 1]",
+    "output_dir": "where CSV/JSON/SVG artifacts go",
+    "seed": "nonnegative integer",
+    "svg": "true/false",
+}
+
+
+def _default_text(value) -> str:
+    """A default as a config file would spell it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def _cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
@@ -39,14 +59,9 @@ def _cmd_list() -> int:
         print(f"  {'':18s} {spec.summary}")
     print()
     print("config keys (key = value lines, # comments):")
-    print("  experiment   one of the names above")
-    print("  N_range      comma list ('3,4') or doubling span ('16..256')")
-    print("  delta        perturbation strength, in (0, 0.5]   [0.1]")
-    print("  t_factor     transfer time in units of pi/min_gap, >= 10   [50]")
-    print("  threshold    transfer fidelity threshold, in (0, 1]   [0.999]")
-    print("  output_dir   where CSV/JSON/SVG artifacts go   [results]")
-    print("  seed         nonnegative integer   [0]")
-    print("  svg          true/false   [false]")
+    for f in dataclasses.fields(ExperimentConfig):
+        default = "" if f.default is dataclasses.MISSING else f"   [{_default_text(f.default)}]"
+        print(f"  {f.name:12s} {_KEY_HELP[f.name]}{default}")
     return 0
 
 

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"N_range: {self.experiment} needs integers >= {spec.min_N}, got {self.N_range}"
             )
+        if len(set(self.N_range)) != len(self.N_range):
+            raise ConfigError(f"N_range: {self.experiment} lists an N twice, got {self.N_range}")
         if spec.allowed_N and (len(self.N_range) != 1 or self.N_range[0] not in spec.allowed_N):
             raise ConfigError(
                 f"N_range: {self.experiment} runs at exactly one N from "
@@ -113,18 +115,43 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Check:
+    """A claim's value against its requirement.
+
+    at_most, at_least and within derive the requirement text, ``passed`` and
+    ``margin`` (how far inside the bound the value lies, >= 0 iff passed) from
+    one bound."""
+
     name: str
     value: float
     requirement: str
     passed: bool
+    margin: float | None = None
+
+    @classmethod
+    def at_most(cls, name: str, value: float, bound: float) -> "Check":
+        return cls(name, value, f"<= {bound:.15g}", value <= bound, bound - value)
+
+    @classmethod
+    def at_least(cls, name: str, value: float, bound: float) -> "Check":
+        return cls(name, value, f">= {bound:.15g}", value >= bound, value - bound)
+
+    @classmethod
+    def within(cls, name: str, value: float, target: float, tol: float) -> "Check":
+        dev = abs(value - target)
+        return cls(name, value, f"{target:.15g} +/- {tol:.15g}", dev <= tol, tol - dev)
 
 
 @dataclass
 class Outcome:
     tables: dict[str, tuple[list[str], list[tuple]]]
-    summary: dict
     checks: list[Check]
+    summary: dict = field(default_factory=dict)  # what the run found beyond its checks
     plots: list[tuple[str, dict]] = field(default_factory=list)
+
+
+def _check_table(checks: list[Check], requirement: str) -> tuple[list[str], list[tuple]]:
+    return (["check", "value", requirement, "passed"],
+            [(c.name, c.value, c.requirement, c.passed) for c in checks])
 
 
 def _uniform_chain(N: int, delta: float) -> SymTridiag:
@@ -140,6 +167,9 @@ def _delta_ladder(delta: float, points: int = 6) -> np.ndarray:
 
 
 def exp_toric_scaling(cfg: ExperimentConfig) -> Outcome:
+    if len(cfg.N_range) < 2:
+        raise ConfigError(f"N_range: toric-scaling fits slopes across N, so needs "
+                          f"two or more, got {cfg.N_range}")
     rows = []
     gaps, times = [], []
     for N in cfg.N_range:
@@ -157,14 +187,12 @@ def exp_toric_scaling(cfg: ExperimentConfig) -> Outcome:
         rows.append((N, gap, res.transfer_time))
     gap_slope = _fit_slope(cfg.N_range, gaps)
     time_slope = _fit_slope(cfg.N_range, times)
-    checks = [
-        Check("min_gap_exponent", gap_slope, "-2 +/- 0.1", abs(gap_slope + 2.0) <= 0.1),
-        Check("transfer_time_exponent", time_slope, "+1 +/- 0.05", abs(time_slope - 1.0) <= 0.05),
-    ]
     return Outcome(
         tables={"": (["N", "min_gap", "transfer_time"], rows)},
-        summary={"min_gap_exponent": gap_slope, "transfer_time_exponent": time_slope},
-        checks=checks,
+        checks=[
+            Check.within("min_gap_exponent", gap_slope, -2.0, 0.1),
+            Check.within("transfer_time_exponent", time_slope, 1.0, 0.05),
+        ],
         plots=[
             ("min_gap", dict(xs=cfg.N_range, ys=gaps, title="minimum gap vs N",
                              xlabel="N", ylabel="min gap", logx=True, logy=True)),
@@ -193,17 +221,15 @@ def exp_toric_retune(cfg: ExperimentConfig) -> Outcome:
         ladder_rows.extend((N, factor * t0, shift) for factor, shift in zip(factors, shifts))
         slopes.append(_fit_slope(factors, shifts))
     slope = float(np.mean(slopes))
-    checks = [
-        Check("worst_fidelity", worst_f, ">= 1 - 1e-6", worst_f >= 1.0 - 1e-6),
-        Check("shift_vs_t_exponent", slope, "-1 +/- 0.2", abs(slope + 1.0) <= 0.2),
-    ]
     return Outcome(
         tables={
             "": (["N", "t", "fidelity_at_t", "max_coupling_shift"], rows),
             "shift_ladder": (["N", "t", "max_coupling_shift"], ladder_rows),
         },
-        summary={"worst_fidelity": worst_f, "shift_vs_t_exponent": slope},
-        checks=checks,
+        checks=[
+            Check.at_least("worst_fidelity", worst_f, 1.0 - 1e-6),
+            Check.within("shift_vs_t_exponent", slope, -1.0, 0.2),
+        ],
         plots=[("shift_ladder", dict(xs=[r[1] for r in ladder_rows],
                                      ys=[r[2] for r in ladder_rows],
                                      title="coupling shift vs t",
@@ -226,14 +252,12 @@ def exp_toric_transfer(cfg: ExperimentConfig) -> Outcome:
         if N == max(cfg.N_range):
             times = time_grid(s, 1.5 * t_expect)
             trace_rows = list(zip(times.tolist(), fidelity_trace(s, times).tolist()))
-    checks = [Check("worst_peak_fidelity", worst, ">= 1 - 1e-9", worst >= 1.0 - 1e-9)]
     return Outcome(
         tables={
             "": (["N", "t_star", "f_star"], rows),
             "trace": (["t", "fidelity"], trace_rows),
         },
-        summary={"worst_peak_fidelity": worst},
-        checks=checks,
+        checks=[Check.at_least("worst_peak_fidelity", worst, 1.0 - 1e-9)],
         plots=[("trace", dict(xs=[r[0] for r in trace_rows] or [0.0],
                               ys=[r[1] for r in trace_rows] or [0.0],
                               title="fidelity trace", xlabel="t", ylabel="F"))],
@@ -256,15 +280,8 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))
         tol = 0.1 if fit.predicted_order <= 3 else 0.3
-        checks.append(
-            Check(
-                f"splitting_order_N{N}",
-                fit.fitted_order,
-                f"{fit.predicted_order} +/- {tol}",
-                abs(fit.fitted_order - fit.predicted_order) <= tol,
-            )
-        )
-        summary[f"order_N{N}"] = fit.fitted_order
+        checks.append(Check.within(f"splitting_order_N{N}", fit.fitted_order,
+                                   fit.predicted_order, tol))
         summary[f"predicted_N{N}"] = fit.predicted_order
         summary[f"digits_N{N}"] = int(fit.digits.max())
     m_flat = ising_surface_diagonal(cfg.N_range[0]).size
@@ -274,11 +291,7 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
         deltas,
         predicted=1,
     )
-    checks.append(
-        Check("contrast_flat_order", flat.fitted_order, "1 +/- 0.05",
-              abs(flat.fitted_order - 1.0) <= 0.05)
-    )
-    summary["contrast_flat_order"] = flat.fitted_order
+    checks.append(Check.within("contrast_flat_order", flat.fitted_order, 1.0, 0.05))
     return Outcome(
         tables={
             "": (["N", "delta", "splitting"], rows),
@@ -296,7 +309,6 @@ def exp_ising_plateau(cfg: ExperimentConfig) -> Outcome:
     deltas = cfg.delta * np.logspace(-1.5, 0.0, 8)
     rows = []
     checks = []
-    summary = {}
     for N in cfg.N_range:
         resid = []
         for d in deltas:
@@ -307,11 +319,9 @@ def exp_ising_plateau(cfg: ExperimentConfig) -> Outcome:
             resid.append(r)
             rows.append((N, float(d), r))
         slope = _fit_slope(deltas, resid)
-        checks.append(Check(f"residual_exponent_N{N}", slope, ">= 1.8", slope >= 1.8))
-        summary[f"residual_exponent_N{N}"] = slope
+        checks.append(Check.at_least(f"residual_exponent_N{N}", slope, 1.8))
     return Outcome(
         tables={"": (["N", "delta", "max_residual"], rows)},
-        summary=summary,
         checks=checks,
         plots=[("residual", dict(xs=deltas, ys=[r[2] for r in rows if r[0] == cfg.N_range[0]],
                                  title="plateau formula residual", xlabel="delta",
@@ -356,15 +366,7 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))
         bound = predicted_order(M, 1, k)
-        checks.append(
-            Check(
-                f"banded_order_N{N}",
-                fit.fitted_order,
-                f">= {bound} - 0.1",
-                fit.fitted_order >= bound - 0.1,
-            )
-        )
-        summary[f"banded_order_N{N}"] = fit.fitted_order
+        checks.append(Check.at_least(f"banded_order_N{N}", fit.fitted_order, bound - 0.1))
         summary[f"bound_N{N}"] = bound
         summary[f"digits_N{N}"] = int(fit.digits.max())
     return Outcome(
@@ -386,24 +388,18 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     psi = toric_ground_state(lat)
     seconds = {"ground_state": time.perf_counter() - started}
     checks: list[Check] = []
-    rows: list[tuple] = []
-
-    def record(name: str, value: float, bound: float, kind: str = "<="):
-        ok = value <= bound if kind == "<=" else value >= bound
-        checks.append(Check(name, value, f"{kind} {bound:g}", ok))
-        rows.append((name, value, f"{kind} {bound:g}", ok))
 
     stab_dev = max(
         abs(1.0 - float(np.real(np.vdot(psi.amplitudes, psi.apply_term(s).amplitudes))))
         for s in lat.stabilizers()
     )
-    record("stabilizer_expectations", stab_dev, 1e-12)
+    checks.append(Check.at_most("stabilizer_expectations", stab_dev, 1e-12))
     z1, z2, _ = toric_logicals(lat)
     log_dev = max(
         abs(1.0 - float(np.real(np.vdot(psi.amplitudes, psi.apply_term(p).amplitudes))))
         for p in (z1, z2)
     )
-    record("logical_z_expectations", log_dev, 1e-12)
+    checks.append(Check.at_most("logical_z_expectations", log_dev, 1e-12))
 
     e_ground = expectation(h, psi)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -421,11 +417,12 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     lam_min = float(spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-9,
                                return_eigenvectors=False)[0])
     seconds["eigsh"] = time.perf_counter() - started
-    record("ground_energy_vs_lanczos", abs(e_ground - lam_min), 1e-7)
+    checks.append(Check.at_most("ground_energy_vs_lanczos", abs(e_ground - lam_min), 1e-7))
 
     basis = toric_string_basis(lat, psi)
     gram = np.array([[abs(a.overlap(b)) for b in basis] for a in basis])
-    record("string_basis_orthonormality", float(np.max(np.abs(gram - np.eye(len(basis))))), 1e-12)
+    checks.append(Check.at_most("string_basis_orthonormality",
+                                float(np.max(np.abs(gram - np.eye(len(basis))))), 1e-12))
 
     rng = np.random.default_rng(cfg.seed + 2)
     J = rng.uniform(0.3, 0.9, max(N - 2, 0))
@@ -433,11 +430,12 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     dH = toric_perturbation(lat, J, B, delta)
     exact = effective_matrix_elements(h + dH, basis, e_ground)
     model = toric_effective(N, lat.delta_gap, delta, J, B).dense()
-    record("matrix_element_deviation", float(np.max(np.abs(exact - model))), 1e-12)
+    checks.append(Check.at_most("matrix_element_deviation",
+                                float(np.max(np.abs(exact - model))), 1e-12))
 
     if N < 3:  # a single string state: nothing to transfer
         return Outcome(
-            tables={"": (["check", "value", "bound", "passed"], rows)},
+            tables={"": _check_table(checks, "bound")},
             summary={"N": N, "ground_energy": e_ground, "eigsh_matvecs": matvecs,
                      "stage_seconds": seconds},
             checks=checks,
@@ -448,8 +446,8 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     rebuilt, _ = retune_chain(chain, t)
     J_new = rebuilt.offdiag / delta
     B_new = (rebuilt.diag - 2.0 * lat.delta_gap) / delta
-    record("retuned_couplings_within_budget",
-           float(max(np.max(np.abs(J_new)), np.max(np.abs(B_new)))), 1.0)
+    checks.append(Check.at_most("retuned_couplings_within_budget",
+                                float(max(np.max(np.abs(J_new)), np.max(np.abs(B_new)))), 1.0))
     dH_new = toric_perturbation(lat, J_new, B_new, delta)
     h_total = h + dH_new
     leak = 0.0
@@ -463,9 +461,9 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
         seconds["krylov"] += propagated - started
         seconds["projection"] += time.perf_counter() - propagated
         leak = max(leak, resid)
-    record("subspace_leakage", leak, 1e-10)
+    checks.append(Check.at_most("subspace_leakage", leak, 1e-10))
     overlap = float(abs(basis[-1].overlap(state)) ** 2)
-    record("logical_flip_overlap", overlap, 0.99, ">=")
+    checks.append(Check.at_least("logical_flip_overlap", overlap, 0.99))
 
     ilat = IsingLattice(3)
     ih = ising_hamiltonian(ilat)
@@ -477,16 +475,17 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     idh = ising_perturbation(ilat, iJ, iB, delta)
     iexact = effective_matrix_elements(ih + idh, ibasis, ie0)
     imodel = ising_effective_surface(3, delta).dense()
-    record("ising_matrix_element_deviation", float(np.max(np.abs(iexact - imodel))), 1e-12)
+    checks.append(Check.at_most("ising_matrix_element_deviation",
+                                float(np.max(np.abs(iexact - imodel))), 1e-12))
     ileak = max(
         subspace_projection(ibasis, apply_hamiltonian(ih + idh, s))[1]
         / max(apply_hamiltonian(ih + idh, s).norm, 1.0)
         for s in ibasis
     )
-    record("ising_subspace_closure", ileak, 1e-12)
+    checks.append(Check.at_most("ising_subspace_closure", ileak, 1e-12))
 
     return Outcome(
-        tables={"": (["check", "value", "bound", "passed"], rows)},
+        tables={"": _check_table(checks, "bound")},
         summary={"N": N, "ground_energy": e_ground, "designed_t": t,
                  "eigsh_matvecs": matvecs, "stage_seconds": seconds},
         checks=checks,
@@ -499,20 +498,19 @@ def exp_duality_verify(cfg: ExperimentConfig) -> Outcome:
     J = np.ones(N - 2)
     dH = toric_perturbation(lat, J, np.zeros(N - 1), cfg.delta)
     report = verify_duality_map(lat, dH, J, cfg.delta)
-    rows = [
-        ("terms_matched", float(report.matched), "exact", report.matched),
-        ("n_terms", float(report.n_terms), "== 2(N-2)", report.n_terms == 2 * (N - 2)),
-        ("max_coeff_dev", report.max_coeff_dev, "== 0", report.max_coeff_dev == 0.0),
-    ]
     single_ok = all(c == 1 for c in report.string_flip_counts)
     pair_ok = all(c == 2 for c in report.pair_flip_counts)
-    rows.append(("string_excitation_numbers", float(single_ok), "every U_l maps to 1 flip", single_ok))
-    rows.append(("pair_excitation_numbers", float(pair_ok), "every U_iU_{i-1} maps to 2 flips", pair_ok))
-    checks = [Check(name, val, req, ok) for name, val, req, ok in rows]
+    checks = [
+        Check("terms_matched", float(report.matched), "exact", report.matched),
+        Check("n_terms", float(report.n_terms), "== 2(N-2)", report.n_terms == 2 * (N - 2)),
+        Check("max_coeff_dev", report.max_coeff_dev, "== 0", report.max_coeff_dev == 0.0),
+        Check("string_excitation_numbers", float(single_ok), "every U_l maps to 1 flip", single_ok),
+        Check("pair_excitation_numbers", float(pair_ok), "every U_iU_{i-1} maps to 2 flips",
+              pair_ok),
+    ]
     return Outcome(
-        tables={"": (["check", "value", "requirement", "passed"], rows)},
+        tables={"": _check_table(checks, "requirement")},
         summary={
-            "matched": report.matched,
             "string_flip_counts": list(report.string_flip_counts),
             "pair_flip_counts": list(report.pair_flip_counts),
         },
@@ -532,16 +530,15 @@ def exp_two_excitation(cfg: ExperimentConfig) -> Outcome:
     rows = list(zip(times, two_excitation_transfer(lat, 1, times, dH, counts=counts)))
     final = rows[-1][1]
     initial = rows[0][1]
-    checks = [
-        Check("mirror_overlap_at_t0", initial, ">= 1 - 1e-9", initial >= 1.0 - 1e-9),
-        Check("pair_transfer_fidelity", final, ">= 0.99", final >= 0.99),
-    ]
     return Outcome(
         tables={"": (["t", "fidelity"], rows)},
-        summary={"t_star": t_star, "final_fidelity": final,
+        summary={"t_star": t_star,
                  "krylov_propagate_calls": counts["krylov_propagate_calls"],
                  "lanczos_bases": counts["lanczos_bases"]},
-        checks=checks,
+        checks=[
+            Check.at_least("mirror_overlap_at_t0", initial, 1.0 - 1e-9),
+            Check.at_least("pair_transfer_fidelity", final, 0.99),
+        ],
         plots=[("pair_fidelity", dict(xs=[r[0] for r in rows], ys=[r[1] for r in rows],
                                       title="adjacent-pair transfer", xlabel="t", ylabel="F"))],
     )
@@ -685,6 +682,7 @@ def run(cfg: ExperimentConfig) -> int:
     spec = EXPERIMENTS[cfg.experiment]
     started = time.time()
     outcome = spec.func(cfg)
+    all_passed = all(c.passed for c in outcome.checks)
     out_dir = Path(cfg.output_dir)
     slug = cfg.experiment.replace("-", "_")
     for table_name, (header, rows) in outcome.tables.items():
@@ -697,10 +695,10 @@ def run(cfg: ExperimentConfig) -> int:
         "wall_clock_seconds": time.time() - started,
         "checks": [asdict(c) for c in outcome.checks],
         "summary": outcome.summary,
-        "all_passed": all(c.passed for c in outcome.checks),
+        "all_passed": all_passed,
     }
     write_json(out_dir / f"{slug}_summary.json", payload)
     if cfg.svg:
         for plot_name, kwargs in outcome.plots:
             write_svg_plot(out_dir / f"{slug}_{plot_name}.svg", **kwargs)
-    return 0 if all(c.passed for c in outcome.checks) else 2
+    return 0 if all_passed else 2

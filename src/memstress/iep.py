@@ -50,7 +50,8 @@ def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:
     matters.  Level 0 anchors the global phase; any level whose parity
     disagrees moves one step toward the side it was rounded away from, which
     keeps every shift within one grid interval of the original eigenvalue.
-    t must be at least MIN_TIME_FACTOR * pi / min_gap.
+    t must be at least MIN_TIME_FACTOR * pi / min_gap, and max|lam| t / pi
+    below 2**53 (NumericalError otherwise).
     """
     lam = s.eigenvalues
     a = s.amplitudes
@@ -67,6 +68,12 @@ def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:
         raise ValueError("t must be positive")
     g = math.pi / t
     x = lam / g
+    reach = float(np.max(np.abs(x)))
+    if reach >= 2.0**53:  # every float there is even, so no parity can be fixed
+        raise NumericalError(
+            f"max|lam| t / pi = {reach:.3e} reaches 2**53, where grid indices "
+            "lose their parity; t is too large to retune"
+        )
     m = np.rint(x).astype(np.int64)
     signs = np.sign(a)
     target = (1 - 2 * (m[0] & 1)) * signs[0]

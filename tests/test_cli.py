@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -165,13 +167,17 @@ def test_cli_rejects_a_key_given_twice(tmp_path, capsys):
         ("ising-splitting", 2),
         ("banded-splitting", 2),
         ("ising-plateau", 3),
+        # an N listed twice, and a single N where exponents are fitted across N
+        ("ising-splitting", "3, 3"),
+        ("banded-splitting", "4, 3, 4"),
+        ("toric-scaling", 16),
     ],
 )
 def test_cli_rejects_n_below_experiment_minimum(tmp_path, capsys, experiment, N):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(f"experiment = {experiment}\nN_range = {N}\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("config error: N_range")
+    assert capsys.readouterr().err.startswith("config error: N_range:")
     assert not (tmp_path / "out").exists()
 
 
@@ -182,6 +188,28 @@ def test_cli_rejects_extra_n_for_exact_n_experiments(tmp_path, capsys, experimen
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: N_range")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_the_retune_time_limit(tmp_path, capsys):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("experiment = toric-retune\nN_range = 8\nt_factor = 1e16\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "2**53" in capsys.readouterr().err
+
+
+def test_cli_list_prints_each_config_default(tmp_path, capsys):
+    assert main(["list"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+             if line.strip()}
+    for f in dataclasses.fields(ExperimentConfig):
+        printed = re.search(r"\[([^\]]*)\]$", lines[f.name])
+        if f.default is dataclasses.MISSING:
+            assert printed is None, f.name
+            continue
+        # the printed default, read back as a config value, is the field default
+        cfg = tmp_path / f"{f.name}.cfg"
+        cfg.write_text(f"{f.name} = {printed.group(1)}\n")
+        assert load_config_file(cfg)[f.name] == f.default, f.name
 
 
 def test_cli_list_prints_exact_n_rule(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from memstress.iep import (
     retune_chain,
     retune_eigenvalues,
 )
-from memstress.spectral import eigh_tridiag, min_gap
+from memstress.spectral import NumericalError, eigh_tridiag, min_gap
 from memstress.transfer import christandl_couplings, fidelity
 
 
@@ -68,6 +69,17 @@ def test_retune_validation():
     diag_only = eigh_tridiag(SymTridiag(np.array([0.0, 1.0]), np.zeros(1)))
     with pytest.raises(ValueError):
         retune_eigenvalues(diag_only, 1e4)  # amplitudes identically zero
+
+
+@pytest.mark.parametrize("t", [1e17, 1e20])
+def test_retune_refuses_grid_indices_past_2_53(t):
+    # above 2**53 every float is even, so the parity fix would be lost
+    # (t = 1e17) or the int64 cast would overflow (t = 1e20)
+    s = eigh_tridiag(SymTridiag(np.full(4, 2.0), np.full(3, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"2\*\*53"):
+            retune_eigenvalues(s, t)
 
 
 def test_retune_plan_invariants():
