@@ -31,8 +31,9 @@ def main() -> int:
         )
         for check in summary["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
-            margin = "-" if check["margin"] is None else f"{check['margin']:+.4e}"
-            print(f"{name:18s} {check['name']:32s} {check['value']:+.4e}  "
+            # non-finite numbers are stored as the strings float() reads back
+            margin = "-" if check["margin"] is None else f"{float(check['margin']):+.4e}"
+            print(f"{name:18s} {check['name']:32s} {float(check['value']):+.4e}  "
                   f"{status}  [{check['requirement']}]  margin {margin}")
         print(f"{name:18s} {'(exit ' + str(code) + ')':32s} {elapsed:>11.1f}s")
         failures += 0 if code == 0 else 1

@@ -4,12 +4,14 @@ Everything here works directly on dense 2^n vectors: stabilizer ground
 states by projection, term-wise Hamiltonian action, adaptive Lanczos time
 evolution, subspace projections, and the symbolic-plus-statevector check of
 the duality circuit that turns the string perturbation into a free hopping
-chain.
+chain.  A state is a plain 1-D complex ``np.ndarray`` of length 2**n; the
+ground-state builders enforce the qubit cap, and the Pauli kernel rejects a
+state of the wrong length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +30,8 @@ from .spectral import NumericalError
 
 __all__ = [
     "QUBIT_CAP",
-    "DenseState",
-    "basis_state",
     "toric_ground_state",
     "toric_string_basis",
-    "apply_hamiltonian",
     "expectation",
     "krylov_propagate",
     "subspace_projection",
@@ -51,44 +50,7 @@ KRYLOV_TOL = 1e-10
 _KRYLOV_MAX_DIM = 40
 
 
-@dataclass
-class DenseState:
-    """Normalized dense statevector on up to QUBIT_CAP qubits."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_qubits > QUBIT_CAP:
-            raise ValueError(f"{self.n_qubits} qubits exceed the dense cap {QUBIT_CAP}")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError("amplitude vector length must be 2**n_qubits")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "DenseState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return DenseState(self.n_qubits, self.amplitudes / n)
-
-    def overlap(self, other: "DenseState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def apply_term(self, p: PauliTerm) -> "DenseState":
-        return DenseState(self.n_qubits, apply_to_state(p, self.amplitudes))
-
-
-def basis_state(n_qubits: int, index: int = 0) -> DenseState:
-    v = np.zeros(1 << n_qubits, dtype=complex)
-    v[index] = 1.0
-    return DenseState(n_qubits, v)
-
-
-def toric_ground_state(lat: ToricLattice) -> DenseState:
+def toric_ground_state(lat: ToricLattice) -> np.ndarray:
     """Ground state with +1 for both logical Zs.
 
     |0...0> already satisfies every plaquette and both Z loops; projecting
@@ -96,28 +58,22 @@ def toric_ground_state(lat: ToricLattice) -> DenseState:
     """
     if lat.n_qubits > QUBIT_CAP:
         raise ValueError(f"toric lattice N={lat.N} needs {lat.n_qubits} qubits > cap")
-    v = basis_state(lat.n_qubits).amplitudes
+    v = np.zeros(1 << lat.n_qubits, dtype=complex)
+    v[0] = 1.0
     for i in range(lat.N):
         for j in range(lat.N):
             v = 0.5 * (v + apply_to_state(lat.star(i, j), v))
     v /= np.linalg.norm(v)
-    return DenseState(lat.n_qubits, v)
+    return v
 
 
-def toric_string_basis(lat: ToricLattice, psi: DenseState) -> list[DenseState]:
+def toric_string_basis(lat: ToricLattice, psi: np.ndarray) -> list[np.ndarray]:
     """Orthonormal string states U_l |psi> for l = 0 .. N-2."""
-    return [psi.apply_term(toric_error_string(lat, l)) for l in range(lat.N - 1)]
+    return [apply_to_state(toric_error_string(lat, l), psi) for l in range(lat.N - 1)]
 
 
-def apply_hamiltonian(h: PauliSum, v: DenseState) -> DenseState:
-    """Term-wise H|v>, unnormalized."""
-    if h.n_qubits != v.n_qubits:
-        raise ValueError("operator and state sizes differ")
-    return DenseState(v.n_qubits, h.apply(v.amplitudes))
-
-
-def expectation(h: PauliSum, v: DenseState) -> float:
-    return float(np.real(np.vdot(v.amplitudes, h.apply(v.amplitudes))))
+def expectation(h: PauliSum, v: np.ndarray) -> float:
+    return float(np.real(np.vdot(v, h.apply(v))))
 
 
 def _lanczos_basis(h: PauliSum, v0: np.ndarray, max_dim: int, breakdown: float):
@@ -158,14 +114,15 @@ def _expm_tridiag(alphas, betas, tau: float) -> np.ndarray:
 
 
 def krylov_propagate(
-    h: PauliSum, v: DenseState, t: float, tol: float = KRYLOV_TOL, counts=None
-) -> DenseState:
+    h: PauliSum, v: np.ndarray, t: float, tol: float = KRYLOV_TOL, counts=None
+) -> np.ndarray:
     """exp(-i H t)|v> by adaptive short-step Lanczos.
 
     Steps are split until the standard posterior estimate beta_m * |y_m|
     stays within the per-step error budget; an invariant subspace (happy
     breakdown) finishes the remaining time in one exact step.  The result is
-    renormalized, bounding unitarity drift by the same tolerance.  A
+    a new complex array rescaled to the norm of ``v``, bounding unitarity
+    drift by the same tolerance; a zero ``v`` is rejected unless t = 0.  A
     ``collections.Counter`` passed as ``counts`` tallies the call under
     ``"krylov_propagate_calls"`` and each Lanczos basis built under
     ``"lanczos_bases"``; it changes no arithmetic.
@@ -176,11 +133,14 @@ def krylov_propagate(
         raise ValueError("time must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if h.n_qubits != v.n_qubits:
+    if v.shape != (1 << h.n_qubits,):
         raise ValueError("operator and state sizes differ")
     if t == 0.0:
-        return DenseState(v.n_qubits, v.amplitudes.copy())
-    state = v.normalized().amplitudes
+        return v.astype(complex)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    state = v / norm
     scale = max(1.0, sum(abs(term.coeff) for term in h.terms))
     breakdown = 1e-13 * scale
     remaining = t
@@ -212,45 +172,45 @@ def krylov_propagate(
         remaining -= tau
         if not happy:
             step = tau * 1.5
-    return DenseState(v.n_qubits, state * v.norm)
+    return state * norm
 
 
-def subspace_projection(
-    states: list[DenseState], v: DenseState
-) -> tuple[np.ndarray, float]:
+def subspace_projection(states: list[np.ndarray], v: np.ndarray) -> tuple[np.ndarray, float]:
     """Overlap coefficients onto an orthonormal family plus the leakage norm."""
-    mat = np.column_stack([s.amplitudes for s in states])
+    mat = np.column_stack(states)
     gram = mat.conj().T @ mat
     if np.max(np.abs(gram - np.eye(len(states)))) > 1e-10:
         raise ValueError("basis states are not orthonormal to 1e-10")
-    coeffs = mat.conj().T @ v.amplitudes
-    residual = v.amplitudes - mat @ coeffs
+    coeffs = mat.conj().T @ v
+    residual = v - mat @ coeffs
     return coeffs, float(np.linalg.norm(residual))
 
 
 def effective_matrix_elements(
-    h_total: PauliSum, states: list[DenseState], ground_energy: float
+    h_total: PauliSum, states: list[np.ndarray], ground_energy: float
 ) -> np.ndarray:
     """Exact <s_i| (H - E0) |s_j> over the given string basis."""
-    mat = np.column_stack([s.amplitudes for s in states])
-    images = np.column_stack([h_total.apply(s.amplitudes) for s in states])
+    mat = np.column_stack(states)
+    images = np.column_stack([h_total.apply(s) for s in states])
     out = mat.conj().T @ images - ground_energy * (mat.conj().T @ mat)
     return np.real_if_close(out, tol=100)
 
 
-def apply_circuit_to_state(circuit, v: DenseState) -> DenseState:
+def apply_circuit_to_state(circuit, v: np.ndarray) -> np.ndarray:
     """Apply an ordered CNOT list to a dense state (circuit[0] first).
 
     On the ``(2,)*n`` view (qubit q is axis ``n-1-q``) each gate flips the
     target axis of the control = 1 slice; that slice has no control axis, so
     the target axis moves down by one when target < control.
     """
-    n = v.n_qubits
-    amps = v.amplitudes.reshape((2,) * n).copy()
+    n = v.size.bit_length() - 1
+    if n < 0 or v.shape != (1 << n,):
+        raise ValueError(f"state shape {v.shape} is not a power-of-two length")
+    amps = v.astype(complex).reshape((2,) * n)
     for control, target in circuit:
         on = (slice(None),) * (n - 1 - control) + (1,)
         amps[on] = np.flip(amps[on], axis=n - 1 - target - (target < control))
-    return DenseState(n, amps.reshape(-1))
+    return amps.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -315,13 +275,15 @@ def verify_duality_map(
         vacuum = apply_circuit_to_state(circuit, psi)
         flips = []
         for l in range(lat.N - 1):
-            mapped = apply_circuit_to_state(circuit, psi.apply_term(toric_error_string(lat, l)))
+            mapped = apply_circuit_to_state(
+                circuit, apply_to_state(toric_error_string(lat, l), psi)
+            )
             flips.append(_excitation_number(vacuum, mapped, chain_sites))
         string_flips = tuple(flips)
         flips = []
         for i in range(1, lat.N - 1):
             pair = multiply(toric_error_string(lat, i), toric_error_string(lat, i - 1))
-            mapped = apply_circuit_to_state(circuit, psi.apply_term(pair))
+            mapped = apply_circuit_to_state(circuit, apply_to_state(pair, psi))
             flips.append(_excitation_number(vacuum, mapped, chain_sites))
         pair_flips = tuple(flips)
     return DualityReport(
@@ -335,13 +297,14 @@ def verify_duality_map(
     )
 
 
-def _excitation_number(vacuum: DenseState, state: DenseState, sites: list[int]) -> int:
+def _excitation_number(vacuum: np.ndarray, state: np.ndarray, sites: list[int]) -> int:
     """Weight of the chain X-pattern with |<X^pattern vacuum | state>| = 1.
 
     Scans all subsets of the chain sites; raises if no pattern reproduces the
     state, meaning it left the chain's flip sector.
     """
     n = len(sites)
+    n_qubits = vacuum.size.bit_length() - 1
     for mask in range(1 << n):
         flip = 0
         for k in range(n):
@@ -350,19 +313,14 @@ def _excitation_number(vacuum: DenseState, state: DenseState, sites: list[int]) 
         if flip == 0:
             cand = vacuum
         else:
-            cand = vacuum.apply_term(PauliTerm(vacuum.n_qubits, flip, 0, 1.0))
-        if abs(abs(cand.overlap(state)) - 1.0) <= 1e-10:
+            cand = apply_to_state(PauliTerm(n_qubits, flip, 0, 1.0), vacuum)
+        if abs(abs(complex(np.vdot(cand, state))) - 1.0) <= 1e-10:
             return bin(mask).count("1")
     raise NumericalError("state is not a chain flip pattern over the mapped vacuum")
 
 
 def two_excitation_transfer(
-    lat: ToricLattice,
-    i: int,
-    times,
-    deltaH: PauliSum,
-    tol: float = KRYLOV_TOL,
-    counts=None,
+    lat: ToricLattice, i: int, times, deltaH: PauliSum, counts=None
 ) -> list[float]:
     """|<psi| (U_{N-i-1} U_{N-i-2})^dag exp(-i (H + dH) t) U_i U_{i-1} |psi>|^2 for each t.
 
@@ -377,29 +335,27 @@ def two_excitation_transfer(
         raise ValueError(f"site index {i} out of range 1..{lat.N - 2}")
     psi = toric_ground_state(lat)
     h_total = toric_hamiltonian(lat) + deltaH
-    init = psi.apply_term(
-        multiply(toric_error_string(lat, i), toric_error_string(lat, i - 1))
+    init, final = (
+        apply_to_state(multiply(toric_error_string(lat, k), toric_error_string(lat, k - 1)), psi)
+        for k in (i, lat.N - 1 - i)
     )
-    j = lat.N - 1 - i
-    final = psi.apply_term(
-        multiply(toric_error_string(lat, j), toric_error_string(lat, j - 1))
-    )
-    return [
-        float(abs(final.overlap(krylov_propagate(h_total, init, t, tol, counts))) ** 2)
-        for t in times
-    ]
+    overlaps = (complex(np.vdot(final, krylov_propagate(h_total, init, t, counts=counts)))
+                for t in times)
+    return [float(abs(z) ** 2) for z in overlaps]
 
 
-def ising_ground_state(lat: IsingLattice) -> DenseState:
+def ising_ground_state(lat: IsingLattice) -> np.ndarray:
     if lat.n_qubits > QUBIT_CAP:
         raise ValueError(f"ising lattice N={lat.N} needs {lat.n_qubits} qubits > cap")
-    return basis_state(lat.n_qubits)
+    v = np.zeros(1 << lat.n_qubits, dtype=complex)
+    v[0] = 1.0
+    return v
 
 
-def ising_prefix_basis(lat: IsingLattice) -> list[DenseState]:
+def ising_prefix_basis(lat: IsingLattice) -> list[np.ndarray]:
     """Retained prefix states applied to |0...0>; exact eigenvectors of H_I."""
     g = ising_ground_state(lat)
-    return [g.apply_term(ising_error_prefix(lat, l)) for l in ising_retained_lengths(lat)]
+    return [apply_to_state(ising_error_prefix(lat, l), g) for l in ising_retained_lengths(lat)]
 
 
 def ising_ground_energy(lat: IsingLattice) -> float:

@@ -3,14 +3,18 @@
 CSV bytes depend only on the result rows (17 significant digits, fixed
 column order), so rerunning an experiment with the same config and seed
 reproduces them exactly.  Wall-clock and other volatile metadata live only
-in the JSON summary.
+in the JSON summary, which is strict JSON: a non-finite number is written as
+the string "NaN", "Infinity" or "-Infinity", which ``float()`` reads back.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 __all__ = ["format_number", "write_csv", "write_json", "write_svg_plot"]
 
@@ -37,21 +41,21 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False, default=str)
         fh.write("\n")
 
 
 def _jsonable(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer, np.bool_)):
-            return obj.item()
-    except ImportError:  # pragma: no cover
-        pass
-    return str(obj)
+    """``obj`` with numpy values as Python ones and non-finite floats as strings."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
 
 
 def write_svg_plot(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from memstress.experiments import (
     load_config_file,
     run,
 )
-from memstress.reporting import write_csv
+from memstress.reporting import write_csv, write_json
 from memstress.spectral import NumericalError
 
 
@@ -108,6 +109,24 @@ def test_csv_17_digit_roundtrip(tmp_path):
     write_csv(path, ["v"], [(value,)])
     text = path.read_text().splitlines()[1]
     assert float(text) == value
+
+
+def test_json_summary_is_strict_with_non_finite_numbers(tmp_path):
+    path = tmp_path / "x.json"
+    payload = {"nan": float("nan"), "inf": float("inf"), "ninf": -np.inf,
+               "np_nan": np.float64("nan"), "np32": np.float32("-inf"),
+               "values": np.array([1.5, np.nan]), "fine": np.float64(0.25), "n": np.int64(3)}
+    write_json(path, payload)
+
+    def reject(token):
+        raise ValueError(f"bare {token} in the summary")
+
+    back = json.loads(path.read_text(), parse_constant=reject)
+    assert back["nan"] == back["np_nan"] == "NaN" and math.isnan(float(back["nan"]))
+    assert back["inf"] == "Infinity" and float(back["inf"]) == math.inf
+    assert back["ninf"] == back["np32"] == "-Infinity" and float(back["ninf"]) == -math.inf
+    assert back["values"][0] == 1.5 and math.isnan(float(back["values"][1]))
+    assert back["fine"] == 0.25 and back["n"] == 3
 
 
 def _stub_spec(func):
@@ -217,6 +236,9 @@ def test_cli_list_prints_exact_n_rule(capsys):
     out = capsys.readouterr().out
     assert "oracle-verify      N_range default [3], exactly one N from [2, 3]" in out
     assert "two-excitation     N_range default [3], exactly one N from [3]" in out
+    scaling = out.splitlines().index(
+        "  toric-scaling      N_range default [16, 32, 64, 128, 256], N >= 3")
+    assert "two or more N" in out.splitlines()[scaling + 1]
     assert "precision" not in out
 
 

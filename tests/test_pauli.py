@@ -269,7 +269,7 @@ def test_sum_apply_is_byte_equal_on_toric_hamiltonian():
         lat, rng.uniform(0.3, 0.9, 1), rng.uniform(-0.5, 0.5, 2), 0.1
     )
     assert lat.n_qubits == 18
-    states = (*_signed_zero_states(rng, lat.n_qubits), toric_ground_state(lat).amplitudes)
+    states = (*_signed_zero_states(rng, lat.n_qubits), toric_ground_state(lat))
     for v in states:
         assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
 
