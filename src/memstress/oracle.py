@@ -34,6 +34,7 @@ __all__ = [
     "toric_string_basis",
     "expectation",
     "krylov_propagate",
+    "orthonormal_columns",
     "subspace_projection",
     "effective_matrix_elements",
     "apply_circuit_to_state",
@@ -175,14 +176,22 @@ def krylov_propagate(
     return state * norm
 
 
-def subspace_projection(states: list[np.ndarray], v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Overlap coefficients onto an orthonormal family plus the leakage norm."""
+def orthonormal_columns(states: list[np.ndarray]) -> np.ndarray:
+    """The states stacked as matrix columns; ValueError unless orthonormal to 1e-10."""
     mat = np.column_stack(states)
     gram = mat.conj().T @ mat
     if np.max(np.abs(gram - np.eye(len(states)))) > 1e-10:
         raise ValueError("basis states are not orthonormal to 1e-10")
-    coeffs = mat.conj().T @ v
-    residual = v - mat @ coeffs
+    return mat
+
+
+def subspace_projection(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Overlap coefficients onto the columns of basis plus the leakage norm.
+
+    basis comes from orthonormal_columns, which stacks and checks it once.
+    """
+    coeffs = basis.conj().T @ v
+    residual = v - basis @ coeffs
     return coeffs, float(np.linalg.norm(residual))
 
 

@@ -7,8 +7,13 @@ k-banded perturbation).  The splittings shrink below double precision almost
 immediately, so eigenvalues are also computed at extended precision by
 bisection on one band LDL^T inertia count: a tridiagonal chain is
 bandwidth 1, a k-banded perturbation bandwidth k, and a count costs O(M k^2).
-The digits are worked out per point: a bisection starts at DEFAULT_DPS and
-doubles them while the splitting stays below the floor 10^-(dps-12).
+The count runs on mpmath's raw libmp tuples with the roundings the mpf
+operators perform, and both ranks of a pair bisect from one bracket, sharing
+every count until a midpoint falls between their eigenvalues.  A bisection's
+result depends only on its count decisions, so neither changes a returned
+eigenvalue.  The digits are worked out per point: a bisection starts at
+DEFAULT_DPS and doubles them while the splitting stays below the floor
+10^-(dps-12).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .effective import SymTridiag
 from .spectral import (
@@ -88,68 +94,110 @@ def plateau_spectrum(N: int, delta: float) -> np.ndarray:
     return 2.0 * (N + 1) + 2.0 * delta * np.cos(i * math.pi / (P + 1))
 
 
-def _band_inertia(bands, x) -> int:
+def _band_inertia(bands, x, tiny) -> int:
     """Eigenvalues strictly below x: negative pivots of the band LDL^T of T - x.
 
-    bands[0] is the diagonal and bands[b] the b-th superdiagonal (lists of
-    mpf).  Elimination without pivoting keeps every fill-in inside the band,
-    so the count costs O(M k^2) for bandwidth k; by Sylvester's law of
-    inertia it is the Sturm count when k = 1.  An exactly zero pivot is
-    replaced by a tiny positive one.
+    bands[0] is the diagonal and bands[b] the b-th superdiagonal, and x and
+    tiny are raw libmp tuples; every operation rounds to nearest at
+    mp.mp.prec, as the mpf operators do.  Elimination without pivoting keeps
+    every fill-in inside the band, so the count costs O(M k^2) for bandwidth
+    k; by Sylvester's law of inertia it is the Sturm count when k = 1.  An
+    exactly zero pivot is replaced by the tiny positive one.  A tridiagonal
+    band is passed as (diagonal, squared superdiagonal), because with k = 1
+    the superdiagonal is never updated and its squares do not depend on x.
     """
+    prec = mp.mp.prec
     m = len(bands[0])
     k = len(bands) - 1
-    # zero-padded past the matrix edge, so every step runs the same updates
-    work = [[v - x for v in bands[0]]] + [list(band) for band in bands[1:]]
-    for band in work:
-        band.extend([mp.mpf(0)] * (m + k - len(band)))
-    # elimination of row i subtracts u_j u_c / pivot from entry (i+j, i+c)
-    updates = [(c - j, j, c) for j in range(1, k + 1) for c in range(j, k + 1)]
-    diag = work[0]
-    tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
     count = 0
+    if k == 1:
+        diag, squares = bands
+        piv = mpf_sub(diag[0], x, prec, round_nearest)
+        for d, square in zip(diag[1:], squares):
+            count += piv[0]  # sign bit; zero and tiny are both positive
+            if piv == fzero:
+                piv = tiny
+            piv = mpf_sub(mpf_sub(d, x, prec, round_nearest),
+                          mpf_div(square, piv, prec, round_nearest),
+                          prec, round_nearest)
+        return count + piv[0]
+    work = [[mpf_sub(v, x, prec, round_nearest) for v in bands[0]]]
+    work += [list(band) for band in bands[1:]]
+    # elimination of row i subtracts u_j u_c / pivot from entry (i+j, i+c);
+    # entries past the matrix edge stay zero and feed nothing, so they are skipped
+    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)]
+    diag = work[0]
     for i in range(m):
         piv = diag[i]
-        if piv == 0:
+        count += piv[0]
+        if piv == fzero:
             piv = tiny
-        if piv < 0:
-            count += 1
         for dst, j, c in updates:
-            work[dst][i + j] -= work[j][i] * work[c][i] / piv
+            if i + c >= m:
+                break
+            row = work[dst]
+            row[i + j] = mpf_sub(
+                row[i + j],
+                mpf_div(mpf_mul(work[j][i], work[c][i], prec, round_nearest),
+                        piv, prec, round_nearest),
+                prec, round_nearest)
     return count
 
 
-def _bisect_eigenvalue(bands, k: int, lo, hi, tol):
-    lo = mp.mpf(lo)
-    hi = mp.mpf(hi)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _band_inertia(bands, mid) >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+def _raw_bands(bands):
+    """Float bands as _band_inertia reads them at the working precision."""
+    raw = [[mp.mpf(x)._mpf_ for x in band] for band in bands]
+    if len(raw) == 2:
+        raw[1] = [mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[1]]
+    return raw
 
 
-def _band_eigenvalue_mp(bands, k: int, scale: float, dps: int):
-    """k-th eigenvalue at dps digits from float bands; scale bounds the spectral radius."""
+def _band_eigenvalue_mp(bands, k: int | tuple[int, ...], scale: float, dps: int):
+    """Eigenvalue of rank k at dps digits from float bands; a tuple of ranks gives a tuple.
+
+    scale bounds the spectral radius.  Every rank bisects from the same
+    bracket, so the counts are memoised on the midpoint's raw tuple: two
+    ranks share every count until a midpoint falls between their
+    eigenvalues, and each takes the decisions it would take alone.
+    """
+    ranks = k if isinstance(k, tuple) else (k,)
     with mp.workdps(dps):
-        bands = [[mp.mpf(x) for x in band] for band in bands]
+        bands = _raw_bands(bands)
+        tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
         radius = mp.mpf(scale) + 1
         tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
-        return _bisect_eigenvalue(bands, k, -radius, radius, tol)
+        counts: dict[tuple, int] = {}
+        out = []
+        for rank in ranks:
+            lo, hi = -radius, radius
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                key = mid._mpf_
+                if key not in counts:
+                    counts[key] = _band_inertia(bands, key, tiny)
+                if counts[key] >= rank + 1:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append((lo + hi) / 2)
+    return tuple(out) if isinstance(k, tuple) else out[0]
 
 
-def tridiag_eigenvalue_mp(m: SymTridiag, k: int, dps: int = DEFAULT_DPS):
-    """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits."""
+def tridiag_eigenvalue_mp(m: SymTridiag, k: int | tuple[int, ...], dps: int = DEFAULT_DPS):
+    """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits.
+
+    k may also be a tuple of ranks; their eigenvalues come back as a tuple
+    from one shared bisection.
+    """
     return _band_eigenvalue_mp([m.diag, m.offdiag], k, m.norm_estimate(), dps)
 
 
-def dense_eigenvalue_mp(a: np.ndarray, k: int, dps: int = DEFAULT_DPS):
+def dense_eigenvalue_mp(a: np.ndarray, k: int | tuple[int, ...], dps: int = DEFAULT_DPS):
     """k-th ascending eigenvalue of a symmetric matrix, bisected on its band.
 
-    The bandwidth is the farthest diagonal holding a nonzero entry.  Raises
-    ValueError unless the matrix is square and symmetric to 1e-13.
+    The bandwidth is the farthest diagonal holding a nonzero entry; k may be
+    a tuple of ranks, as in tridiag_eigenvalue_mp.  Raises ValueError unless
+    the matrix is square and symmetric to 1e-13.
     """
     a = check_dense_symmetric(a)
     rows, cols = np.nonzero(a)
@@ -186,7 +234,8 @@ def _pair_splitting(matrix, pair: tuple[int, int]) -> tuple[float, int]:
         return gap, dps
     while True:
         with mp.workdps(dps):
-            gap = float(eigenvalue_mp(matrix, hi, dps) - eigenvalue_mp(matrix, lo, dps))
+            top, bottom = eigenvalue_mp(matrix, (hi, lo), dps)
+            gap = float(top - bottom)
         if _above_floor(gap, dps) or dps >= MAX_DPS:
             return gap, dps
         dps *= 2

@@ -24,6 +24,7 @@ from memstress.oracle import (
     ising_ground_state,
     ising_prefix_basis,
     krylov_propagate,
+    orthonormal_columns,
     subspace_projection,
     toric_ground_state,
     toric_string_basis,
@@ -123,7 +124,7 @@ def test_perturbed_action_is_tridiagonal(toric3):
     basis = toric_string_basis(lat, psi)
     dh = toric_perturbation(lat, np.array([1.0]), np.zeros(2), 0.1)
     image = dh.apply(basis[0])
-    coeffs, leak = subspace_projection(basis, image)
+    coeffs, leak = subspace_projection(orthonormal_columns(basis), image)
     assert leak < 1e-12
     assert coeffs[1] == pytest.approx(0.1, abs=1e-13)  # delta * J_0 hop
 
@@ -206,7 +207,7 @@ def test_krylov_halving_budget_is_per_step():
 
 def test_subspace_projection_cases(toric2):
     lat, _, psi = toric2
-    basis = [psi]
+    basis = orthonormal_columns([psi])
     coeffs, leak = subspace_projection(basis, psi)
     assert leak < 1e-12 and coeffs[0] == pytest.approx(1.0)
     flipped = apply_to_state(pauli_x(lat.n_qubits, 0), psi)
@@ -214,7 +215,7 @@ def test_subspace_projection_cases(toric2):
     assert abs(coeffs[0]) < 1e-12
     assert leak == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        subspace_projection([psi, psi], psi)
+        orthonormal_columns([psi, psi])
 
 
 def test_evolution_stays_in_string_subspace(toric3):
@@ -222,9 +223,10 @@ def test_evolution_stays_in_string_subspace(toric3):
     basis = toric_string_basis(lat, psi)
     dh = toric_perturbation(lat, np.array([0.5]), np.zeros(2), 0.1)
     state = basis[0]
+    strings = orthonormal_columns(basis)
     for _ in range(4):
         state = krylov_propagate(h + dh, state, 5.0)
-        _, leak = subspace_projection(basis, state)
+        _, leak = subspace_projection(strings, state)
         assert leak < 1e-10
 
 
@@ -306,9 +308,10 @@ def test_ising_prefix_basis_and_closure():
     exact = effective_matrix_elements(h + dh, basis, e0)
     want = ising_effective_surface(3, delta).dense()
     assert np.max(np.abs(exact - want)) < 1e-12
+    strings = orthonormal_columns(basis)
     for s in basis:
         image = (h + dh).apply(s)
-        _, leak = subspace_projection(basis, image)
+        _, leak = subspace_projection(strings, image)
         assert leak < 1e-12 * max(np.linalg.norm(image), 1.0)
 
 

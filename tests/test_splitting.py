@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from memstress import splitting
 from memstress.effective import SymTridiag, banded_effective, ising_effective_surface
 from memstress.experiments import ExperimentConfig, _delta_ladder, run
 from memstress.spectral import NumericalError, eigh_tridiag
@@ -254,3 +255,149 @@ def test_benchmarked_ising_chain_keeps_default_digits():
                             _delta_ladder(0.1), predicted=17)
     assert fit.ok
     assert np.all(fit.digits == DEFAULT_DPS)
+
+
+# The mpf bisection that the raw-tuple count replaced, kept as the reference:
+# a bisection's result depends only on its count decisions, so the counts and
+# the returned eigenvalues must be equal, not merely close.
+def _reference_inertia(bands, x, zero_pivots=None) -> int:
+    m = len(bands[0])
+    k = len(bands) - 1
+    work = [[v - x for v in bands[0]]] + [list(band) for band in bands[1:]]
+    for band in work:
+        band.extend([mp.mpf(0)] * (m + k - len(band)))
+    updates = [(c - j, j, c) for j in range(1, k + 1) for c in range(j, k + 1)]
+    diag = work[0]
+    tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
+    count = 0
+    for i in range(m):
+        piv = diag[i]
+        if piv == 0:
+            if zero_pivots is not None:
+                zero_pivots.append(x)
+            piv = tiny
+        if piv < 0:
+            count += 1
+        for dst, j, c in updates:
+            work[dst][i + j] -= work[j][i] * work[c][i] / piv
+    return count
+
+
+def _reference_bisect(bands, k, lo, hi, tol):
+    lo = mp.mpf(lo)
+    hi = mp.mpf(hi)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if _reference_inertia(bands, mid) >= k + 1:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _reference_eigenvalue(bands, k, scale, dps=DEFAULT_DPS):
+    with mp.workdps(dps):
+        bands = [[mp.mpf(x) for x in band] for band in bands]
+        radius = mp.mpf(scale) + 1
+        tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
+        return _reference_bisect(bands, k, -radius, radius, tol)
+
+
+def _dense_bands(a):
+    rows, cols = np.nonzero(a)
+    width = int(np.max(np.abs(rows - cols), initial=0))
+    return [np.diagonal(a, b) for b in range(width + 1)], float(np.max(np.sum(np.abs(a), axis=1)))
+
+
+def _reference_dense(a, k, dps=DEFAULT_DPS):
+    bands, scale = _dense_bands(a)
+    return _reference_eigenvalue(bands, k, scale, dps)
+
+
+def _reference_tridiag(m, k, dps=DEFAULT_DPS):
+    return _reference_eigenvalue([m.diag, m.offdiag], k, m.norm_estimate(), dps)
+
+
+@pytest.mark.parametrize("dps", [DEFAULT_DPS, 2 * DEFAULT_DPS])
+def test_tridiag_eigenvalues_equal_mpf_reference(dps):
+    m = ising_effective_surface(4, 0.1)
+    ranks = (0, 1, m.dim // 2, m.dim - 1)
+    for rank in ranks:
+        assert tridiag_eigenvalue_mp(m, rank, dps) == _reference_tridiag(m, rank, dps)
+    assert tridiag_eigenvalue_mp(m, ranks, dps) == tuple(
+        _reference_tridiag(m, rank, dps) for rank in ranks)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_banded_eigenvalues_equal_mpf_reference(k):
+    a = _mirror_banded(4, k, 0.1, seed=10 + k)
+    assert len(_dense_bands(a)[0]) == k + 1
+    ranks = (0, 1, a.shape[0] // 2, a.shape[0] - 1)
+    for rank in ranks:
+        assert dense_eigenvalue_mp(a, rank) == _reference_dense(a, rank)
+    assert dense_eigenvalue_mp(a, ranks) == tuple(_reference_dense(a, r) for r in ranks)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_counts_equal_mpf_reference_at_random_mids(k):
+    # random bands at random mids, then quarter-integer bands at dyadic mids,
+    # where pivots (and the fill-in behind them) become exactly zero
+    rng = np.random.default_rng(20 + k)
+    m = 7
+    cases = [
+        ([rng.uniform(-2.0, 2.0, m - b) for b in range(k + 1)], rng.uniform(-6.0, 6.0, 300)),
+        ([rng.integers(-8, 9, m - b) / 4.0 for b in range(k + 1)],
+         rng.integers(-12, 13, 300) / 4.0),
+    ]
+    zero_pivots = []
+    checked = 0
+    for dps in (DEFAULT_DPS, 2 * DEFAULT_DPS):
+        with mp.workdps(dps):
+            tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
+            for float_bands, mids in cases:
+                ref_bands = [[mp.mpf(x) for x in band] for band in float_bands]
+                raw = splitting._raw_bands(float_bands)
+                for x in mids:
+                    x = mp.mpf(x)
+                    want = _reference_inertia(ref_bands, x, zero_pivots)
+                    assert splitting._band_inertia(raw, x._mpf_, tiny) == want
+                    checked += 1
+    assert checked >= 1000
+    assert len(zero_pivots) >= 20
+
+
+def test_tied_pair_equals_mpf_reference():
+    # the zero-coupling family: both ranks sit on the same eigenvalue
+    chain = SymTridiag(np.zeros(2), np.array([0.0]))
+    want = tuple(_reference_tridiag(chain, rank) for rank in (1, 0))
+    assert want[0] == want[1]
+    assert tridiag_eigenvalue_mp(chain, (1, 0)) == want
+    a = np.diag([4.0, 6.0, 6.0, 4.0])
+    for pair in ((0, 1), (2, 3)):
+        assert dense_eigenvalue_mp(a, pair) == tuple(_reference_dense(a, r) for r in pair)
+
+
+def _counted(monkeypatch):
+    calls = []
+    inner = splitting._band_inertia
+
+    def count(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(splitting, "_band_inertia", count)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["tridiag", "banded"])
+def test_pair_call_shares_counts(monkeypatch, case):
+    if case == "tridiag":
+        matrix, eigenvalue_mp = ising_effective_surface(4, 0.1), tridiag_eigenvalue_mp
+    else:
+        matrix, eigenvalue_mp = _mirror_banded(4, 2, 0.1, seed=2), dense_eigenvalue_mp
+    calls = _counted(monkeypatch)
+    single = (eigenvalue_mp(matrix, 1), eigenvalue_mp(matrix, 0))
+    single_calls = len(calls)
+    calls.clear()
+    assert eigenvalue_mp(matrix, (1, 0)) == single
+    assert 0 < len(calls) < single_calls
