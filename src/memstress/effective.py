@@ -114,12 +114,13 @@ def banded_effective(N: int, delta: float, k: int, band_coeffs) -> np.ndarray:
 
     band_coeffs[b-1, i] is the entry at (i, i+b); row b-1 uses its first
     M-b values.  Every band entry must have magnitude <= delta, matching the
-    strength available to quasi-local perturbations.
+    strength available to quasi-local perturbations, so delta = 0 leaves the
+    bare diagonal.
     """
     if k < 1:
         raise ValueError("band width k must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     d = ising_surface_diagonal(N)
     M = d.size
     if k >= M:

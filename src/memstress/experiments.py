@@ -276,26 +276,19 @@ def exp_ising_splitting(cfg: ExperimentConfig) -> Outcome:
     checks = []
     summary: dict = {}
     for N in cfg.N_range:
-        M = ising_surface_diagonal(N).size
-        fit = measure_splitting(
-            lambda d, N=N: ising_effective_surface(N, d),
-            (0, 1),
-            deltas,
-            predicted=predicted_order(M, 1),
-        )
+        predicted = predicted_order(ising_surface_diagonal(N).size, 1)
+        fit = measure_splitting(lambda d, N=N: ising_effective_surface(N, d), (0, 1), deltas)
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))
-        tol = 0.1 if fit.predicted_order <= 3 else 0.3
-        checks.append(Check.within(f"splitting_order_N{N}", fit.fitted_order,
-                                   fit.predicted_order, tol))
-        summary[f"predicted_N{N}"] = fit.predicted_order
+        tol = 0.1 if predicted <= 3 else 0.3
+        checks.append(Check.within(f"splitting_order_N{N}", fit.fitted_order, predicted, tol))
+        summary[f"predicted_N{N}"] = predicted
         summary[f"digits_N{N}"] = int(fit.digits.max())
     m_flat = ising_surface_diagonal(cfg.N_range[0]).size
     flat = measure_splitting(
         lambda d: SymTridiag(np.full(m_flat, 2.0), np.full(m_flat - 1, 0.5 * d)),
         (0, 1),
         deltas,
-        predicted=1,
     )
     checks.append(Check.within("contrast_flat_order", flat.fitted_order, 1.0, 0.05))
     return Outcome(
@@ -360,14 +353,9 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
         M = ising_surface_diagonal(N).size
         unit = _mirror_symmetric_bands(rng, k, M)
         fit = measure_splitting(
-            lambda d, N=N, unit=unit: (
-                banded_effective(N, float(d), k, float(d) * unit)
-                if d
-                else np.diag(ising_surface_diagonal(N))
-            ),
+            lambda d, N=N, unit=unit: banded_effective(N, float(d), k, float(d) * unit),
             (0, 1),
             deltas,
-            predicted=predicted_order(M, 1, k),
         )
         for d, sp in zip(fit.deltas, fit.splittings):
             rows.append((N, d, sp))

@@ -122,42 +122,48 @@ def toric_error_string(lat: ToricLattice, l: int) -> PauliTerm:
     return pauli_x(lat.n_qubits, *(lat.site_index(2 * i, 0) for i in range(l + 1)))
 
 
+def _guarded_moves(n: int, hops, guards, marks, J, B, delta: float) -> PauliSum:
+    """(delta/2) sum_k J_k hop_k (1 - guard_k) + (delta/2) sum_k B_k (1 - mark_k).
+
+    J has one entry per hop (paired with its guard), B one per mark; both are
+    bounded by 1 so each summand keeps unit operator norm before delta.  Zero
+    entries add no terms.
+    """
+    J = np.asarray(J, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if J.shape != (len(hops),):
+        raise ValueError(f"J must have length {len(hops)}, got {J.shape}")
+    if B.shape != (len(marks),):
+        raise ValueError(f"B must have length {len(marks)}, got {B.shape}")
+    if np.any(np.abs(J) > 1.0) or np.any(np.abs(B) > 1.0):
+        raise ValueError("coupling bounds |J_k| <= 1 and |B_k| <= 1 violated")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    half = 0.5 * delta
+    terms: list[PauliTerm] = []
+    for hop, guard, j in zip(hops, guards, J, strict=True):
+        if j != 0.0:
+            hop = hop.scaled(half * j)
+            terms += [hop, multiply(hop, guard).scaled(-1.0)]
+    for mark, b in zip(marks, B, strict=True):
+        if b != 0.0:
+            terms += [identity(n).scaled(half * b), mark.scaled(-half * b)]
+    return PauliSum.from_terms(terms, n)
+
+
 def toric_perturbation(lat: ToricLattice, J, B, delta: float) -> PauliSum:
     """Quasi-local perturbation transporting the error string along row z = 0.
 
     deltaH = (delta/2) sum_i J_i X_{2i+2,0} (1 - Zbar_{i,0} Zbar_{i+1,0})
            + (delta/2) sum_i B_i (1 - Zbar_{i,0})
 
-    J has N-2 entries (hops), B has N-1 entries (on-string detunings); both
-    are bounded by 1 so each summand keeps unit operator norm before delta.
+    J has N-2 entries (hops), B has N-1 entries (on-string detunings).
     """
-    N = lat.N
-    J = np.asarray(J, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if J.shape != (max(N - 2, 0),):
-        raise ValueError(f"J must have length {N - 2}, got {J.shape}")
-    if B.shape != (N - 1,):
-        raise ValueError(f"B must have length {N - 1}, got {B.shape}")
-    if np.any(np.abs(J) > 1.0) or np.any(np.abs(B) > 1.0):
-        raise ValueError("coupling bounds |J_i| <= 1 and |B_i| <= 1 violated")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     n = lat.n_qubits
-    half = 0.5 * delta
-    terms: list[PauliTerm] = []
-    for i in range(N - 2):
-        if J[i] == 0.0:
-            continue
-        hop = pauli_x(n, lat.site_index(2 * i + 2, 0)).scaled(half * J[i])
-        pp = multiply(lat.plaquette(i, 0), lat.plaquette(i + 1, 0))
-        terms.append(hop)
-        terms.append(multiply(hop, pp).scaled(-1.0))
-    for i in range(N - 1):
-        if B[i] == 0.0:
-            continue
-        terms.append(identity(n).scaled(half * B[i]))
-        terms.append(lat.plaquette(i, 0).scaled(-half * B[i]))
-    return PauliSum.from_terms(terms, n)
+    plaq = [lat.plaquette(i, 0) for i in range(lat.N - 1)]
+    hops = [pauli_x(n, lat.site_index(2 * i + 2, 0)) for i in range(lat.N - 2)]
+    guards = [multiply(p, q) for p, q in zip(plaq, plaq[1:])]
+    return _guarded_moves(n, hops, guards, plaq, J, B, delta)
 
 
 def toric_duality_circuit(lat: ToricLattice) -> list[tuple[int, int]]:
@@ -284,35 +290,11 @@ def ising_perturbation(lat: IsingLattice, J, B, delta: float) -> PauliSum:
     hops apply the joint X pair.  B_k marks retained prefix k through
     (delta/2) B_k (1 - Z_{l_k} Z_{l_k+1}).
     """
-    lengths = ising_retained_lengths(lat)
-    M = len(lengths)
-    J = np.asarray(J, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if J.shape != (M - 1,):
-        raise ValueError(f"J must have length {M - 1}, got {J.shape}")
-    if B.shape != (M,):
-        raise ValueError(f"B must have length {M}, got {B.shape}")
-    if np.any(np.abs(J) > 1.0) or np.any(np.abs(B) > 1.0):
-        raise ValueError("coupling bounds |J_k| <= 1 and |B_k| <= 1 violated")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     n = lat.n_qubits
-    half = 0.5 * delta
-    terms: list[PauliTerm] = []
-    for k in range(M - 1):
-        if J[k] == 0.0:
-            continue
-        lo, hi = lengths[k], lengths[k + 1]
-        flips = pauli_x(n, *(lat.snake_vertex(q) for q in range(lo + 1, hi + 1)))
-        guard = pauli_z(n, lat.snake_vertex(lo), lat.snake_vertex(hi + 1))
-        hop = flips.scaled(half * J[k])
-        terms.append(hop)
-        terms.append(multiply(hop, guard).scaled(-1.0))
-    for k in range(M):
-        if B[k] == 0.0:
-            continue
-        l = lengths[k]
-        guard = pauli_z(n, lat.snake_vertex(l), lat.snake_vertex(l + 1))
-        terms.append(identity(n).scaled(half * B[k]))
-        terms.append(guard.scaled(-half * B[k]))
-    return PauliSum.from_terms(terms, n)
+    v = lat.snake_vertex
+    lengths = ising_retained_lengths(lat)
+    steps = list(zip(lengths, lengths[1:]))
+    hops = [pauli_x(n, *map(v, range(lo + 1, hi + 1))) for lo, hi in steps]
+    guards = [pauli_z(n, v(lo), v(hi + 1)) for lo, hi in steps]
+    marks = [pauli_z(n, v(l), v(l + 1)) for l in lengths]
+    return _guarded_moves(n, hops, guards, marks, J, B, delta)

@@ -56,8 +56,6 @@ class SplittingFit:
     deltas: np.ndarray
     splittings: np.ndarray
     fitted_order: float
-    stderr: float
-    predicted_order: int | None
     below_floor: np.ndarray  # mask of points too small even in extended precision
     digits: np.ndarray  # bisection digits each point was judged at
 
@@ -245,7 +243,6 @@ def measure_splitting(
     matrix_family: Callable[[float], SymTridiag | np.ndarray],
     pair: tuple[int, int],
     deltas,
-    predicted: int | None = None,
 ) -> SplittingFit:
     """Fit log(splitting) against log(delta) for one degenerate pair.
 
@@ -280,13 +277,11 @@ def measure_splitting(
         )
     x = np.log(deltas[good])
     y = np.log(splittings[good])
-    coeffs, cov = np.polyfit(x, y, 1, cov=True)
+    coeffs = np.polyfit(x, y, 1)
     return SplittingFit(
         deltas=deltas,
         splittings=splittings,
         fitted_order=float(coeffs[0]),
-        stderr=float(np.sqrt(cov[0, 0])),
-        predicted_order=predicted,
         below_floor=below,
         digits=digits,
     )

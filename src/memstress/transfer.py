@@ -319,13 +319,12 @@ def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
     best_t, best_f = float(times[best]), float(f[best])
     order = _visit_order(scan, windows)
     bounds = 0.5 * (f[order] + f[order + 1]) + lip * (times[order + 1] - times[order]) * 0.5
-    refine = order[bounds > best_f]
+    keep = bounds > best_f
+    refine = order[keep]
     t_ref, f_ref = _golden_sections(s, times[refine], times[refine + 1])
-    peaks = dict(zip(refine.tolist(), zip(t_ref.tolist(), f_ref.tolist())))
-    for k, bound in zip(order.tolist(), bounds):
+    for t, fk, bound in zip(t_ref.tolist(), f_ref.tolist(), bounds[keep]):
         if bound <= best_f:
             continue
-        t, fk = peaks[k]
         if fk > best_f:
             best_t, best_f = t, fk
     return best_t, best_f

@@ -95,6 +95,19 @@ def test_banded_zero_bands_is_diagonal():
     assert w[1] - w[0] == 0.0  # lowest pair exactly degenerate
 
 
+def test_banded_zero_delta_is_bare_diagonal():
+    # delta = 0 is admitted like the other chain builders; the band bound
+    # |b| <= delta then forces every band to zero
+    for N in (3, 4):
+        M = ising_surface_diagonal(N).size
+        a = banded_effective(N, 0.0, 2, np.zeros((2, M - 1)))
+        assert np.array_equal(a, np.diag(ising_surface_diagonal(N)))
+        with pytest.raises(ValueError, match="strength bound"):
+            banded_effective(N, 0.0, 2, np.full((2, M - 1), 1e-300))
+        with pytest.raises(ValueError, match="nonnegative"):
+            banded_effective(N, -0.1, 2, np.zeros((2, M - 1)))
+
+
 def test_banded_validation():
     N = 4
     M = ising_surface_diagonal(N).size

@@ -237,3 +237,65 @@ def test_ising_perturbation_shape_and_hermiticity():
         ising_perturbation(lat, np.ones(M), np.zeros(M), 0.1)
     with pytest.raises(ValueError):
         ising_perturbation(lat, np.ones(M - 1), np.zeros(M), -0.5)
+
+
+def _expand(delta, moves, marks, J, B):
+    """{(z_mask, x_mask): coeff} of (delta/2) sum J X^x (1 - Z^z) + (delta/2) sum B (1 - Z^z).
+
+    Each move is an (x_mask, guard z_mask) pair on disjoint qubits, so X^x Z^z
+    is already in stored X-left-of-Z form with coefficient +1.  Terms are
+    summed in the formula's order, hops first.
+    """
+    out = {}
+
+    def add(z, x, c):
+        out[(z, x)] = out.get((z, x), 0.0) + c
+
+    for (x, z), j in zip(moves, J):
+        if j != 0.0:
+            add(0, x, 0.5 * delta * j)
+            add(z, x, -(0.5 * delta * j))
+    for z, b in zip(marks, B):
+        if b != 0.0:
+            add(0, 0, 0.5 * delta * b)
+            add(z, 0, -(0.5 * delta * b))
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def _bits(*sites):
+    return sum(1 << s for s in sites)
+
+
+@pytest.mark.parametrize("kind,N", [("toric", 3), ("toric", 4), ("ising", 3), ("ising", 4)])
+def test_perturbation_coefficients_match_formula_exactly(kind, N):
+    rng = np.random.default_rng(N)
+    delta = 0.137
+    if kind == "toric":
+        lat = ToricLattice(N)
+
+        def zbar(i):  # Z diamond centred at (2i+1, 0)
+            return _bits(*(lat.site_index(2 * i + dx, dz) for dx, dz in
+                           ((0, 0), (1, 1), (2, 0), (1, -1))))
+
+        moves = [(_bits(lat.site_index(2 * i + 2, 0)), zbar(i) ^ zbar(i + 1))
+                 for i in range(N - 2)]
+        marks = [zbar(i) for i in range(N - 1)]
+        build = toric_perturbation
+    else:
+        lat = IsingLattice(N)
+        v = lat.snake_vertex
+        ls = ising_retained_lengths(lat)
+        moves = [(_bits(*(v(q) for q in range(lo + 1, hi + 1))), _bits(v(lo), v(hi + 1)))
+                 for lo, hi in zip(ls, ls[1:])]
+        marks = [_bits(v(l), v(l + 1)) for l in ls]
+        build = ising_perturbation
+    J = rng.uniform(-1.0, 1.0, len(moves))
+    # spread magnitudes so the merged identity coefficient depends on the
+    # order the detunings are summed in
+    B = rng.uniform(-1.0, 1.0, len(marks)) * 10.0 ** -rng.integers(0, 17, len(marks))
+    J[1::2] = 0.0
+    B[::3] = 0.0
+    dh = build(lat, J, B, delta)
+    got = {(t.z_mask, t.x_mask): t.coeff for t in dh}
+    assert got == _expand(delta, moves, marks, J, B)
+    assert len(got) == 2 * np.count_nonzero(J) + np.count_nonzero(B) + 1

@@ -242,6 +242,15 @@ def test_duality_map_exact(toric3):
     assert report.pair_flip_counts == (2,)
 
 
+def test_duality_map_above_qubit_cap_raises():
+    # N = 4 needs 32 qubits: the statevector half must not pass on empty counts
+    lat = ToricLattice(4)
+    J = np.ones(2)
+    dh = toric_perturbation(lat, J, np.zeros(3), 0.1)
+    with pytest.raises(ValueError, match="cap"):
+        verify_duality_map(lat, dh, J, 0.1)
+
+
 def test_duality_map_rejects_detuning(toric3):
     lat, _, _ = toric3
     dh = toric_perturbation(lat, np.ones(1), np.array([0.5, 0.0]), 0.1)
