@@ -372,8 +372,6 @@ def exp_banded_splitting(cfg: ExperimentConfig) -> Outcome:
 
 
 def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
-    import scipy.sparse.linalg as spla
-
     N = cfg.N_range[0]
     delta = cfg.delta
     lat = ToricLattice(N, delta_gap=1.0)
@@ -389,22 +387,10 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
                                 _max_unit_deviation(psi, toric_logicals(lat)[:2]), 1e-12))
 
     e_ground = expectation(h, psi)
-    rng = np.random.default_rng(cfg.seed + 1)
-    v0 = rng.standard_normal(1 << lat.n_qubits)
-    matvecs = 0
-
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return np.real(h.apply(x))
-
-    # an explicit dtype keeps scipy from probing matvec with a zero vector
-    op = spla.LinearOperator((1 << lat.n_qubits,) * 2, matvec=matvec, dtype=np.float64)
-    started = time.perf_counter()
-    lam_min = float(spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-9,
-                               return_eigenvectors=False)[0])
-    seconds["eigsh"] = time.perf_counter() - started
-    checks.append(Check.at_most("ground_energy_vs_lanczos", abs(e_ground - lam_min), 1e-7))
+    # H = -sum c_k S_k with Pauli S_k of unit operator norm, so <H> >= -sum |c_k| in
+    # every state (triangle inequality); a state that reaches the bound is a ground state
+    checks.append(Check.within("ground_energy_vs_bound", e_ground,
+                               -sum(abs(term.coeff) for term in h.terms), 1e-12))
 
     basis = toric_string_basis(lat, psi)
     gram = np.array([[abs(complex(np.vdot(a, b))) for b in basis] for a in basis])
@@ -423,8 +409,7 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     if N < 3:  # a single string state: nothing to transfer
         return Outcome(
             tables={"": _check_table(checks, "bound")},
-            summary={"N": N, "ground_energy": e_ground, "eigsh_matvecs": matvecs,
-                     "stage_seconds": seconds},
+            summary={"N": N, "ground_energy": e_ground, "stage_seconds": seconds},
             checks=checks,
         )
 
@@ -476,7 +461,7 @@ def exp_oracle_verify(cfg: ExperimentConfig) -> Outcome:
     return Outcome(
         tables={"": _check_table(checks, "bound")},
         summary={"N": N, "ground_energy": e_ground, "designed_t": t,
-                 "eigsh_matvecs": matvecs, "stage_seconds": seconds},
+                 "stage_seconds": seconds},
         checks=checks,
     )
 

@@ -125,19 +125,19 @@ def krylov_propagate(
     ``"krylov_propagate_calls"`` and each Lanczos basis built under
     ``"lanczos_bases"``; it changes no arithmetic.
     """
-    if counts is not None:
-        counts["krylov_propagate_calls"] += 1
     if t < 0:
         raise ValueError("time must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if v.shape != (1 << h.n_qubits,):
         raise ValueError("operator and state sizes differ")
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 and t != 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    if counts is not None:
+        counts["krylov_propagate_calls"] += 1
     if t == 0.0:
         return v.astype(complex)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
     state = v / norm
     scale = max(1.0, sum(abs(term.coeff) for term in h.terms))
     breakdown = 1e-13 * scale

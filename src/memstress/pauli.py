@@ -9,10 +9,10 @@ Qubit 0 is the least-significant bit of both the masks and the statevector
 index.  Lattice geometry lives elsewhere; this module only sees flat indices.
 
 Dense action.  ``apply_to_state`` and ``PauliSum.apply`` share one kernel
-that works in float64 arithmetic.  A real state (an ARPACK vector, say) goes
-in as it is.  A complex state is its float64 view: a real state with one
-more axis (re/im) that is never flipped or signed.  That axis is dropped when
-the imaginary parts of the state and of every coefficient are all zero.
+that works in float64 arithmetic.  A real state goes in as it is.  A complex
+state is its float64 view: a real state with one more axis (re/im) that is
+never flipped or signed.  That axis is dropped when the imaginary parts of the
+state and of every coefficient are all zero.
 
 On the ``(2,)*n`` view of the state, where qubit q is axis ``n-1-q``, X^x
 reverses the axes of x's bits; a run of adjacent qubits with equal x bits is

@@ -79,6 +79,8 @@ def test_ground_energy_matches_dense_minimum(toric2):
     w = np.linalg.eigvalsh(mat)
     assert expectation(h, psi) == pytest.approx(w[0], abs=1e-12)
     assert w[0] == pytest.approx(-lat.delta_gap * lat.N**2)
+    # the frustration-free bound that oracle-verify checks against is attained
+    assert w[0] == pytest.approx(-sum(abs(t.coeff) for t in h.terms), abs=1e-12)
     # two encoded qubits: a 4-fold degenerate ground space
     assert int(np.sum(w < w[0] + 1e-9)) == 4
 
@@ -346,6 +348,20 @@ def test_states_of_the_wrong_length_are_rejected():
             apply_circuit_to_state([(0, 1)], bad)
 
 
+def test_rejected_krylov_calls_are_not_counted():
+    h = PauliSum.from_terms([pauli_x(3, 0)])
+    v = np.ones(8, dtype=complex)
+    counts = Counter()
+    for args, kwargs in (((v, -1.0), {}), ((v, 1.0), {"tol": 0.0}),
+                         ((np.ones(4, dtype=complex), 1.0), {}),
+                         ((np.zeros(8, dtype=complex), 1.0), {})):
+        with pytest.raises(ValueError):
+            krylov_propagate(h, *args, counts=counts, **kwargs)
+    assert counts == Counter()
+    krylov_propagate(h, np.zeros(8, dtype=complex), 0.0, counts=counts)
+    assert counts == Counter(krylov_propagate_calls=1)
+
+
 def test_krylov_rejects_the_zero_state_after_t0():
     h = PauliSum.from_terms([pauli_x(3, 0)])
     zero = np.zeros(8, dtype=complex)
@@ -399,10 +415,36 @@ def test_oracle_summaries_record_their_work(tmp_path, monkeypatch):
         assert run(ExperimentConfig(experiment=name, N_range=[N], output_dir=str(tmp_path))) == 0
     read = lambda slug: json.loads((tmp_path / f"{slug}_summary.json").read_text())["summary"]
     oracle, pair = read("oracle_verify"), read("two_excitation")
-    # ARPACK's matvecs are the only real inputs; scipy's integer dtype probe is gone
-    assert oracle["eigsh_matvecs"] == dtypes.count(np.float64) > 0
-    assert all(dt.kind in "fc" for dt in dtypes)
-    assert set(oracle["stage_seconds"]) == {"ground_state", "eigsh"}  # N = 2 stops before Krylov
+    assert dtypes and all(dt.kind == "c" for dt in dtypes)
+    assert set(oracle["stage_seconds"]) == {"ground_state"}  # N = 2 stops before Krylov
     assert all(s >= 0.0 for s in oracle["stage_seconds"].values())
     assert pair["krylov_propagate_calls"] == 9
     assert pair["lanczos_bases"] >= 8  # t = 0 builds none
+
+
+def _flip_first_star(lat):
+    # +delta_gap on top of -delta_gap/2 turns one star's sign; with the product
+    # of all stars the identity, no state then satisfies every term
+    return toric_hamiltonian(lat) + PauliSum.from_terms([lat.star(0, 0).scaled(lat.delta_gap)])
+
+
+def _zero_state(lat):
+    v = np.zeros(1 << lat.n_qubits, dtype=complex)
+    v[0] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("target,mutant", [("toric_hamiltonian", _flip_first_star),
+                                           ("toric_ground_state", _zero_state)])
+def test_ground_energy_bound_catches_mutants(tmp_path, monkeypatch, target, mutant):
+    import json
+
+    from memstress import experiments
+
+    monkeypatch.setattr(experiments, target, mutant)
+    code = experiments.run(experiments.ExperimentConfig(
+        experiment="oracle-verify", N_range=[2], output_dir=str(tmp_path)))
+    payload = json.loads((tmp_path / "oracle_verify_summary.json").read_text())
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert code == 2
+    assert checks["ground_energy_vs_bound"]["passed"] is False

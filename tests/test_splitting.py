@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from memstress import splitting
-from memstress.effective import SymTridiag, banded_effective, ising_effective_surface
-from memstress.experiments import ExperimentConfig, _delta_ladder, run
+from memstress.effective import (
+    SymTridiag,
+    banded_effective,
+    ising_effective_surface,
+    ising_surface_diagonal,
+)
+from memstress.experiments import ExperimentConfig, _delta_ladder, _mirror_symmetric_bands, run
 from memstress.spectral import NumericalError, eigh_tridiag
 from memstress.splitting import (
     DEFAULT_DPS,
@@ -94,6 +99,30 @@ def test_banded_k2_order_bound():
         0.1 * np.logspace(-1.5, -0.5, 6),
     )
     assert fit.fitted_order >= predicted_order(M, 1, 2) - 0.1
+
+
+def test_banded_k3_order_bound():
+    rng = np.random.default_rng(0)
+    for N in (4, 5):
+        M = ising_surface_diagonal(N).size
+        unit = _mirror_symmetric_bands(rng, 3, M)
+        fit = measure_splitting(
+            lambda d: banded_effective(N, d, 3, d * unit),
+            (0, 1),
+            0.1 * np.logspace(-1.5, -0.5, 6),
+        )
+        assert fit.fitted_order >= predicted_order(M, 1, 3) - 0.1
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_inner_ramp_pairs_split_at_their_order(N):
+    # ramp pair i holds ranks 2i-2 and 2i-1; above order 3 ising-splitting
+    # allows the same 0.3 around the predicted order
+    M = ising_surface_diagonal(N).size
+    for i in range(2, N):
+        fit = measure_splitting(lambda d: ising_effective_surface(N, d),
+                                (2 * i - 2, 2 * i - 1), _delta_ladder(0.1))
+        assert abs(fit.fitted_order - predicted_order(M, i)) <= 0.3
 
 
 def test_asymmetric_bands_detune_at_second_order():
