@@ -111,13 +111,11 @@ def _expm_tridiag(alphas, betas, tau: float) -> np.ndarray:
     return (u * np.exp(-1j * tau * w)) @ u[0, :].conj()
 
 
-def krylov_propagate(
-    h: PauliSum, v: np.ndarray, t: float, tol: float = KRYLOV_TOL, counts=None
-) -> np.ndarray:
+def krylov_propagate(h: PauliSum, v: np.ndarray, t: float, counts=None) -> np.ndarray:
     """exp(-i H t)|v> by adaptive short-step Lanczos.
 
     Steps are split until the standard posterior estimate beta_m * |y_m|
-    stays within the per-step error budget; an invariant subspace (happy
+    stays within the per-step share of KRYLOV_TOL; an invariant subspace (happy
     breakdown) finishes the remaining time in one exact step.  The result is
     a new complex array rescaled to the norm of ``v``, bounding unitarity
     drift by the same tolerance; a zero ``v`` is rejected unless t = 0.  A
@@ -127,8 +125,6 @@ def krylov_propagate(
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if v.shape != (1 << h.n_qubits,):
         raise ValueError("operator and state sizes differ")
     norm = float(np.linalg.norm(v))
@@ -156,7 +152,7 @@ def krylov_propagate(
             else:
                 # posterior residual estimate: weight leaking past the basis
                 err = abs(betas[-1] * y[-1]) * tau if betas else 0.0
-            if err <= tol * tau / t:
+            if err <= KRYLOV_TOL * tau / t:
                 break
             tau *= 0.5
             attempts += 1

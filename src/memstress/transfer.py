@@ -5,15 +5,17 @@ F(t) = |sum_i a_i exp(-i lam_i t)| with a_i = <M|lam_i><lam_i|1>, and
 F_max = sum_i |a_i| bounds every t.  Mirror-symmetric chains saturate
 F_max = 1, which is what the engineered couplings exploit.
 
+One row-local kernel, fidelity_trace, evaluates F: each value is the
+pairwise sum of its own row of phases, so it does not depend on the other
+times in its batch, and fidelity(s, t) is its one-point case.
+
 The two scans (measure_transfer_time, locate_fidelity_peak) screen their
 whole time grid first: a GEMM factorization of the phase matrix gives every
-grid value to within an a-priori bound eps.  Exact values are formed only
-where the screen cannot prove the decision a grid value feeds, as whole
-blocks of fidelity_trace's own layout, so every value that decides a branch
-has fidelity_trace's bits and each scan returns what it would return on the
-full exact trace.  Refinements use one batched evaluator, of which
-fidelity(s, t) is the one-point case; the golden sections of a peak search
-run in lockstep, one batched evaluation per step.
+grid value to within an a-priori bound eps.  Exact values are formed only at
+the grid points whose decisions the screen cannot prove, each at most once,
+so every value that decides a branch has fidelity_trace's bits and each scan
+returns what it would return on the full exact trace.  The golden sections
+of a peak search run in lockstep, one fidelity_trace call per step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralData, min_gap
+from .spectral import SpectralData
 
 __all__ = [
     "TransferResult",
@@ -43,7 +45,6 @@ class TransferResult:
 
     f_max: float
     transfer_time: float  # nan when the threshold was never reached
-    min_gap: float
     reached: bool
 
 
@@ -60,33 +61,37 @@ def christandl_couplings(N: int) -> np.ndarray:
     return 2.0 / (N - 1) * np.sqrt((i + 1.0) * (N - 2.0 - i))
 
 
-# Phase entries formed at once by fidelity_trace (one row more in a block
-# with a folded tail) and by the batched evaluator: 4 MiB of complex128, so
-# a scan's temporaries stay a few MiB however long its time grid is.
+# Phase entries formed at once by fidelity_trace: 4 MiB of complex128, so a
+# scan's temporaries stay a few MiB however long its time grid is.
 TRACE_BLOCK_ELEMENTS = 1 << 18
 
 # The screen's error bound is SCREEN_ERROR_FACTOR * eps_mach * (max t *
 # max|lam| + dim) * sum|a|: phase rounding grows with t * lam and the sums
-# with dim.  Counting the roundings of the screen and of fidelity_trace
-# gives a factor below 18 in units of eps_mach / 2; 64 eps_mach leaves a
-# margin of 7.
+# with dim.  fidelity_trace's row sum is pairwise, fewer than dim additions
+# deep (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and a
+# row of the screen's GEMM at most dim deep.  Counting those with the
+# roundings of the phases, exps, products and abs gives a factor below 18
+# in units of eps_mach / 2; 64 eps_mach leaves a margin of 7.
 SCREEN_ERROR_FACTOR = 64.0
 
 
-def _fidelities(s: SpectralData, times: np.ndarray) -> np.ndarray:
+def fidelity_trace(s: SpectralData, times: np.ndarray) -> np.ndarray:
     """F(t) = |sum_i a_i exp(-i lam_i t)| at every entry of times.
 
-    Each value is reduced from its own row of phases, so it does not depend
-    on the other times in the batch.  Rows are taken TRACE_BLOCK_ELEMENTS
-    phases at a time.
+    Each value is the pairwise sum of its own row of phases, so it does not
+    depend on the other times in the batch: any split of times returns the
+    same bits, and fidelity(s, t) is the one-point case.  Rows are formed
+    TRACE_BLOCK_ELEMENTS phases at a time in one reused buffer.
     """
+    times = np.asarray(times, dtype=float).ravel()
     lam, a = s.eigenvalues, s.amplitudes
-    times = np.asarray(times, dtype=float)
     rows = max(1, TRACE_BLOCK_ELEMENTS // lam.size)
     phase = -1j * lam
+    buf = np.empty((min(rows, times.size), lam.size), dtype=complex)
     out = np.empty(times.size)
     for k in range(0, times.size, rows):
-        p = phase * times[k:k + rows, None]
+        chunk = times[k:k + rows, None]
+        p = np.multiply(phase, chunk, out=buf[: chunk.shape[0]])
         np.exp(p, out=p)
         p *= a
         np.abs(np.sum(p, axis=1), out=out[k:k + rows])
@@ -97,48 +102,7 @@ def fidelity(s: SpectralData, t: float) -> float:
     """F(t) = |sum_i exp(-i lam_i t) a_i| at a single time."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return float(_fidelities(s, np.array([t]))[0])
-
-
-def _trace_blocks(n: int, dim: int) -> np.ndarray:
-    """Row bounds of fidelity_trace's blocks over n times.
-
-    Blocks hold TRACE_BLOCK_ELEMENTS phases (at least two rows).  A one-row
-    tail is folded into the block before it: a lone row goes through numpy's
-    1-D dot path, which rounds differently from the same row inside a block.
-    """
-    rows = max(2, TRACE_BLOCK_ELEMENTS // max(dim, 1))
-    bounds = np.append(np.arange(0, n, rows), n)
-    if bounds.size > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds = np.delete(bounds, -2)
-    return bounds
-
-
-def fidelity_trace(s: SpectralData, times: np.ndarray) -> np.ndarray:
-    """F(t) = |sum_i a_i exp(-i lam_i t)| at every entry of times.
-
-    The phase matrix exp(-1j * outer(times, lam)) is formed in the row
-    blocks of _trace_blocks, in two buffers reused from block to block, so
-    that blocks after the first write into pages already mapped.  The
-    result is bit-identical to forming it in one piece: every phase is the
-    exp of its own product, and every output entry is its own row-by-vector
-    product of a block of at least two rows (or of the whole grid), which no
-    other row enters.  A call on a run of whole blocks of a longer grid
-    therefore returns the longer call's bits.
-    """
-    times = np.asarray(times, dtype=float).ravel()
-    lam, a = s.eigenvalues, s.amplitudes
-    bounds = _trace_blocks(times.size, lam.size)
-    rows = int(np.max(np.diff(bounds), initial=0))
-    arg = np.empty((rows, lam.size))
-    phases = np.empty((rows, lam.size), dtype=complex)
-    out = np.empty(times.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        p = phases[: hi - lo]
-        np.multiply(-1j, np.outer(times[lo:hi], lam, out=arg[: hi - lo]), out=p)
-        np.exp(p, out=p)
-        np.abs(p @ a, out=out[lo:hi])
-    return out
+    return float(fidelity_trace(s, np.array([t]))[0])
 
 
 def f_max(s: SpectralData) -> float:
@@ -194,34 +158,22 @@ class _ScanValues:
     A screened decision compares values that may each be off by eps, so a
     decision is taken on the screen only when it holds with tol = 3 eps to
     spare (the third eps covers the rounding of the bounds themselves, a
-    few ulps of sum|a|).  A grid of one block is evaluated exactly up front,
-    with tol 0: the screen could not save any of it.
+    few ulps of sum|a|).
     """
 
     def __init__(self, s: SpectralData, times: np.ndarray):
         self.s, self.times = s, times
-        self.bounds = _trace_blocks(times.size, s.dim)
         self.values = np.empty(times.size)
-        self.known = np.zeros(self.bounds.size - 1, dtype=bool)
-        if self.known.size > 1:
-            self.screen, eps = _screen(s, times)
-            self.tol = 3.0 * eps
-        else:
-            self.screen, self.tol = self.exact(np.arange(times.size)), 0.0
+        self.known = np.zeros(times.size, dtype=bool)
+        self.screen, eps = _screen(s, times)
+        self.tol = 3.0 * eps
 
     def exact(self, idx) -> np.ndarray:
-        """fidelity_trace's values at idx, evaluating the blocks that hold them.
-
-        Each block is evaluated whole and once; consecutive blocks go through
-        one fidelity_trace call.
-        """
-        blocks = np.unique(np.searchsorted(self.bounds, idx, side="right") - 1)
-        blocks = blocks[~self.known[blocks]]
-        self.known[blocks] = True
-        for run in np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1):
-            if run.size:
-                lo, hi = self.bounds[run[0]], self.bounds[run[-1] + 1]
-                self.values[lo:hi] = fidelity_trace(self.s, self.times[lo:hi])
+        """fidelity_trace's values at idx; each grid point is evaluated once."""
+        todo = np.unique(idx)
+        todo = todo[~self.known[todo]]
+        self.known[todo] = True
+        self.values[todo] = fidelity_trace(self.s, self.times[todo])
         return self.values[idx]
 
 
@@ -246,7 +198,6 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
         raise ValueError("threshold must lie in [0, 1]")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    gap = min_gap(s) if s.dim >= 2 else math.nan
     times = time_grid(s, t_max)
     scan = _ScanValues(s, times)
     lip = _lipschitz(s)
@@ -262,8 +213,8 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
             s, threshold, lip, w_min, (float(times[k]), float(times[k + 1]), float(fa), float(fb))
         )
         if crossing is not None:
-            return TransferResult(f_max(s), crossing, gap, True)
-    return TransferResult(f_max(s), math.nan, gap, False)
+            return TransferResult(f_max(s), crossing, True)
+    return TransferResult(f_max(s), math.nan, False)
 
 
 def _window_crossing(s: SpectralData, threshold: float, lip: float, w_min: float,
@@ -336,8 +287,7 @@ def _visit_order(scan: _ScanValues, windows: np.ndarray) -> np.ndarray:
     argsort is not stable, so when two of the keys are equal the order is
     taken from a sort of the full exact trace.
     """
-    f = scan.values
-    keys = f[windows] + f[windows + 1]
+    keys = scan.exact(windows) + scan.exact(windows + 1)
     if np.unique(keys).size == keys.size:
         return windows[np.argsort(keys)[::-1]]
     full = scan.exact(np.arange(scan.times.size))
@@ -356,7 +306,7 @@ def _golden_sections(s: SpectralData, a: np.ndarray, b: np.ndarray) -> tuple[np.
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = np.split(_fidelities(s, np.concatenate([c, d])), 2)
+    fc, fd = np.split(fidelity_trace(s, np.concatenate([c, d])), 2)
     live = np.arange(a.size)
     for _ in range(200):
         if not live.size:
@@ -367,8 +317,8 @@ def _golden_sections(s: SpectralData, a: np.ndarray, b: np.ndarray) -> tuple[np.
         c[u] = b[u] - invphi * (b[u] - a[u])
         a[v], c[v], fc[v] = c[v], d[v], fd[v]
         d[v] = a[v] + invphi * (b[v] - a[v])
-        fresh = _fidelities(s, np.concatenate([c[u], d[v]]))
+        fresh = fidelity_trace(s, np.concatenate([c[u], d[v]]))
         fc[u], fd[v] = fresh[: u.size], fresh[u.size:]
         live = live[~(b[live] - a[live] < 1e-14 * np.maximum(1.0, np.abs(b[live])))]
     t = 0.5 * (a + b)
-    return t, _fidelities(s, t)
+    return t, fidelity_trace(s, t)

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memstress import transfer
 from memstress.effective import SymTridiag, toric_effective
 from memstress.spectral import eigh_tridiag
 from memstress.transfer import (
@@ -14,7 +15,6 @@ from memstress.transfer import (
     _golden_sections,
     _ScanValues,
     _screen,
-    _trace_blocks,
     _visit_order,
     christandl_couplings,
     f_max,
@@ -136,27 +136,36 @@ def test_mirror_period_returns_to_start():
     assert abs(fidelity(s, 2 * t_star) - fidelity(s, 0.0)) < 1e-8
 
 
-def one_piece_trace(s, times):
-    return np.abs(np.exp(-1j * np.outer(times, s.eigenvalues)) @ s.amplitudes)
-
-
 def peak_scan(N):
     # locate_fidelity_peak's grid for the toric-transfer chain at delta = 1
     s = eigh_tridiag(christandl_chain(N))
     return s, time_grid(s, 1.5 * np.pi * (N - 1) / 4.0, oversample=8.0)
 
 
-def test_blocked_trace_is_bit_identical():
-    s, times = peak_scan(512)
-    rows = TRACE_BLOCK_ELEMENTS // s.dim
-    assert times.size > 2 * rows and times.size % rows  # several blocks, ragged last one
-    assert np.array_equal(fidelity_trace(s, times), one_piece_trace(s, times))
-    few = times[: rows // 2]  # one block
-    assert np.array_equal(fidelity_trace(s, few), one_piece_trace(s, few))
+def transfer_scan(N):
+    # measure_transfer_time's grid at delta = 0.1; at N = 887 it is 18 blocks
+    # of 295 rows plus one row
+    s = toric_christandl(N)
+    return s, time_grid(s, 1.5 * np.pi * (N - 1) / 0.4)
+
+
+def test_trace_is_batch_independent():
+    for s, times in (peak_scan(512), transfer_scan(887)):
+        rows = TRACE_BLOCK_ELEMENTS // s.dim
+        assert times.size > 2 * rows
+        full = fidelity_trace(s, times).tobytes()
+        n = times.size
+        for cuts in ([rows], [rows - 1, rows + 1], [n - 1], [1, n - rows - 1], [n - n % rows],
+                     list(range(0, n, 97)), list(range(0, n, rows + 1))):
+            pieces = [fidelity_trace(s, piece) for piece in np.split(times, cuts)]
+            assert np.concatenate(pieces).tobytes() == full
+        assert np.array([fidelity(s, float(t)) for t in times]).tobytes() == full
+    assert n % rows == 1  # the N = 887 grid ends in a one-row block
     s1 = eigh_tridiag(SymTridiag(np.array([1.3]), np.zeros(0)))
-    ts = np.linspace(0.0, 50.0, TRACE_BLOCK_ELEMENTS + 7)
-    assert np.array_equal(fidelity_trace(s1, ts), one_piece_trace(s1, ts))
-    empty = fidelity_trace(s, np.array([]))
+    ts = np.linspace(0.0, 50.0, TRACE_BLOCK_ELEMENTS + 7)  # two blocks of one phase per row
+    one_term = np.abs(s1.amplitudes * np.exp(-1j * s1.eigenvalues * ts[:, None]))[:, 0]
+    assert np.array_equal(fidelity_trace(s1, ts), one_term)
+    empty = fidelity_trace(s1, np.array([]))
     assert empty.shape == (0,) and empty.dtype == np.float64
 
 
@@ -173,26 +182,54 @@ def test_blocked_trace_memory_is_bounded():
     assert peak < 24 * 2**20
 
 
-def test_one_row_tail_is_folded():
-    # at delta = 0.1, N = 887's transfer grid is 18 blocks of 295 rows plus one row
-    N = 887
-    s = eigh_tridiag(toric_effective(N, 1.0, 0.1, christandl_couplings(N), np.zeros(N - 1)))
-    times = time_grid(s, 1.5 * np.pi * (N - 1) / 0.4)
-    rows = TRACE_BLOCK_ELEMENTS // s.dim
-    assert times.size > rows and times.size % rows == 1
-    assert fidelity_trace(s, times).tobytes() == one_piece_trace(s, times).tobytes()
-    assert list(_trace_blocks(times.size, s.dim)[-2:]) == [times.size - rows - 1, times.size]
-    assert list(_trace_blocks(1, s.dim)) == [0, 1] and list(_trace_blocks(0, s.dim)) == [0]
+def test_scan_values_evaluate_each_grid_point_once(monkeypatch):
+    calls, scans = [], []
+    trace, init = transfer.fidelity_trace, _ScanValues.__init__
+
+    def counted_trace(s, times):
+        calls.append(np.array(times, dtype=float))
+        return trace(s, times)
+
+    def recorded_init(self, s, times):
+        scans.append(self)
+        init(self, s, times)
+
+    monkeypatch.setattr(transfer, "fidelity_trace", counted_trace)
+    monkeypatch.setattr(_ScanValues, "__init__", recorded_init)
+    s, times = peak_scan(1024)
+    scan = _ScanValues(s, times)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        idx = rng.integers(0, times.size, 300)
+        assert scan.exact(idx).tobytes() == reference_trace(s, times[idx]).tobytes()
+    evaluated = np.concatenate(calls)
+    assert np.unique(evaluated).size == evaluated.size == scan.known.sum()
+
+    s = toric_christandl(1024)
+    t_max = 1.5 * np.pi * 1023 / 0.4
+    for run in (lambda: locate_fidelity_peak(s, t_max), lambda: measure_transfer_time(s, 0.999, t_max)):
+        calls.clear()
+        scans.clear()
+        run()
+        (scan,) = scans
+        on_grid = [c for c in calls if c.size and np.isin(c, scan.times).all()]
+        evaluated = np.concatenate(on_grid)
+        assert np.unique(evaluated).size == evaluated.size == scan.known.sum()
+        assert scan.known.sum() < scan.known.size / 10
 
 
 # The scans as they were before the screen, kept as the reference: every
-# grid value is exact (the one-piece product, which fidelity_trace equals
+# grid value is exact (one row sum per point, which fidelity_trace equals
 # bit for bit), and each window runs its own golden section.  The screened
 # scans must return the same floats.
 
 
 def _reference_fidelity(s, t):
     return float(np.abs(np.sum(s.amplitudes * np.exp(-1j * s.eigenvalues * t))))
+
+
+def reference_trace(s, times):
+    return np.array([_reference_fidelity(s, float(t)) for t in times])
 
 
 def _reference_lipschitz(s):
@@ -203,7 +240,7 @@ def _reference_lipschitz(s):
 
 def _reference_measure_transfer_time(s, threshold, t_max):
     times = time_grid(s, t_max)
-    fids = one_piece_trace(s, times)
+    fids = reference_trace(s, times)
     lip = _reference_lipschitz(s)
     crossing = None
     if fids[0] >= threshold:
@@ -245,7 +282,7 @@ def _reference_measure_transfer_time(s, threshold, t_max):
 
 def _reference_locate_fidelity_peak(s, t_max):
     times = time_grid(s, t_max, oversample=8.0)
-    fids = one_piece_trace(s, times)
+    fids = reference_trace(s, times)
     lip = _reference_lipschitz(s)
     order = np.argsort(fids[:-1] + fids[1:])[::-1]
     best_t = float(times[np.argmax(fids)])
@@ -317,11 +354,14 @@ def test_peak_ties_fall_back_to_full_order(M):
     s = eigh_tridiag(SymTridiag(np.zeros(M), christandl_couplings(M + 1)))
     t_max = 1.3 * np.pi * M / 4.0
     times = time_grid(s, t_max, oversample=8.0)
-    fids = one_piece_trace(s, times)
+    fids = reference_trace(s, times)
     keys = fids[:-1] + fids[1:]
     bound = 0.5 * keys + _reference_lipschitz(s) * np.diff(times) * 0.5
     windows = np.flatnonzero(bound >= fids.max())
-    assert np.unique(keys[windows]).size < windows.size
+    scan = _ScanValues(s, times)
+    window_keys = scan.exact(windows) + scan.exact(windows + 1)
+    assert window_keys.tobytes() == keys[windows].tobytes()
+    assert np.unique(window_keys).size < windows.size
     full_order = np.argsort(keys)[::-1]
     expected = full_order[np.isin(full_order, windows)]
     assert list(_visit_order(_ScanValues(s, times), windows)) == list(expected)
@@ -350,7 +390,7 @@ def test_transfer_windows_at_the_screen_margin():
     times = time_grid(s, t_max)
     scan = _ScanValues(s, times)
     assert scan.tol > 0.0
-    fids = one_piece_trace(s, times)
+    fids = reference_trace(s, times)
     reach = np.maximum(fids[:-1], fids[1:]) + _reference_lipschitz(s) * np.diff(times) * 0.5
     k = int(np.flatnonzero(reach > 0.9)[0])
     r = float(reach[k])
@@ -370,7 +410,7 @@ def test_peak_between_two_grid_points_at_the_screen_margin():
     scan = _ScanValues(s, times)
     top = np.flatnonzero(scan.screen >= scan.screen.max() - scan.tol)
     assert list(top) == [times.size // 2 - 1, times.size // 2]
-    fids = one_piece_trace(s, times)
+    fids = reference_trace(s, times)
     assert abs(fids[top[0]] - fids[top[1]]) < scan.tol / 100
     assert locate_fidelity_peak(s, t_max) == _reference_locate_fidelity_peak(s, t_max)
 
