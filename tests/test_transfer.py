@@ -149,24 +149,41 @@ def transfer_scan(N):
     return s, time_grid(s, 1.5 * np.pi * (N - 1) / 0.4)
 
 
-def test_trace_is_batch_independent():
-    for s, times in (peak_scan(512), transfer_scan(887)):
-        rows = TRACE_BLOCK_ELEMENTS // s.dim
-        assert times.size > 2 * rows
-        full = fidelity_trace(s, times).tobytes()
-        n = times.size
-        for cuts in ([rows], [rows - 1, rows + 1], [n - 1], [1, n - rows - 1], [n - n % rows],
-                     list(range(0, n, 97)), list(range(0, n, rows + 1))):
-            pieces = [fidelity_trace(s, piece) for piece in np.split(times, cuts)]
-            assert np.concatenate(pieces).tobytes() == full
-        assert np.array([fidelity(s, float(t)) for t in times]).tobytes() == full
-    assert n % rows == 1  # the N = 887 grid ends in a one-row block
+def assert_batch_independent(s, times):
+    # the bytes of the whole call equal those of any split, one-row pieces
+    # included, and of fidelity at each point
+    rows = TRACE_BLOCK_ELEMENTS // s.dim
+    full = fidelity_trace(s, times).tobytes()
+    n = times.size
+    for cuts in ([rows], [rows - 1, rows + 1], [n - 1], [1, n - rows - 1], [n - n % rows],
+                 list(range(0, n, 97)), list(range(0, n, rows + 1))):
+        pieces = [fidelity_trace(s, piece) for piece in np.split(times, cuts)]
+        assert np.concatenate(pieces).tobytes() == full
+    assert np.array([fidelity(s, float(t)) for t in times]).tobytes() == full
+
+
+def test_blocked_trace_is_bit_identical():
+    s, times = peak_scan(512)
+    rows = TRACE_BLOCK_ELEMENTS // s.dim
+    assert times.size > 2 * rows and times.size % rows  # several blocks, ragged last one
+    assert_batch_independent(s, times)
     s1 = eigh_tridiag(SymTridiag(np.array([1.3]), np.zeros(0)))
     ts = np.linspace(0.0, 50.0, TRACE_BLOCK_ELEMENTS + 7)  # two blocks of one phase per row
     one_term = np.abs(s1.amplitudes * np.exp(-1j * s1.eigenvalues * ts[:, None]))[:, 0]
     assert np.array_equal(fidelity_trace(s1, ts), one_term)
     empty = fidelity_trace(s1, np.array([]))
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_one_row_tail_is_folded():
+    # the one-row last block of the N = 887 grid goes through the same row
+    # kernel as every other block
+    s, times = transfer_scan(887)
+    rows = TRACE_BLOCK_ELEMENTS // s.dim
+    assert times.size > 2 * rows and times.size % rows == 1
+    assert_batch_independent(s, times)
+    tail = times[-1:]
+    assert fidelity_trace(s, times)[-1:].tobytes() == reference_trace(s, tail).tobytes()
 
 
 def test_blocked_trace_memory_is_bounded():
