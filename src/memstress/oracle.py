@@ -121,52 +121,74 @@ def krylov_propagate(h: PauliSum, v: np.ndarray, t: float, counts=None) -> np.nd
     drift by the same tolerance; a zero ``v`` is rejected unless t = 0.  A
     ``collections.Counter`` passed as ``counts`` tallies the call under
     ``"krylov_propagate_calls"`` and each Lanczos basis built under
-    ``"lanczos_bases"``; it changes no arithmetic.
+    ``"lanczos_bases"``; it changes no arithmetic.  This is the one-time
+    case of ``_krylov_sweep``.
     """
-    if t < 0:
+    return next(_krylov_sweep(h, v, (t,), counts))
+
+
+def _krylov_sweep(h: PauliSum, v: np.ndarray, times, counts=None):
+    """Yield ``krylov_propagate(h, v, t)`` for each t, sharing the first Lanczos basis.
+
+    Every positive time starts its step loop from the normalised ``v``, so
+    the basis of that first step is built once for the sweep; later steps
+    build their own.  Each value equals the one-time call byte for byte, and
+    ``counts`` tallies one call per time.  States are yielded one at a time,
+    so a sweep holds one evolved state, not one per time.
+    """
+    if any(t < 0 for t in times):
         raise ValueError("time must be nonnegative")
     if v.shape != (1 << h.n_qubits,):
         raise ValueError("operator and state sizes differ")
     norm = float(np.linalg.norm(v))
-    if norm == 0.0 and t != 0.0:
+    if norm == 0.0 and any(t != 0.0 for t in times):
         raise ValueError("cannot normalize the zero vector")
     if counts is not None:
-        counts["krylov_propagate_calls"] += 1
-    if t == 0.0:
-        return v.astype(complex)
-    state = v / norm
+        counts["krylov_propagate_calls"] += len(times)
     scale = max(1.0, sum(abs(term.coeff) for term in h.terms))
     breakdown = 1e-13 * scale
-    remaining = t
-    step = min(t, 10.0 / scale)
-    while remaining > 1e-15 * t:
-        vecs, alphas, betas, happy = _lanczos_basis(h, state, _KRYLOV_MAX_DIM, breakdown)
+    if any(t != 0.0 for t in times):
+        start = v / norm
+        first = _lanczos_basis(h, start, _KRYLOV_MAX_DIM, breakdown)
         if counts is not None:
             counts["lanczos_bases"] += 1
-        tau = remaining if happy else min(step, remaining)
-        attempts = 0
-        while True:
-            y = _expm_tridiag(alphas, betas, tau)
-            if happy:
-                err = 0.0
-            else:
-                # posterior residual estimate: weight leaking past the basis
-                err = abs(betas[-1] * y[-1]) * tau if betas else 0.0
-            if err <= KRYLOV_TOL * tau / t:
-                break
-            tau *= 0.5
-            attempts += 1
-            if attempts > 200:
-                raise NumericalError(
-                    f"krylov propagation failed to converge (err {err:.2e})"
-                )
-        basis = np.column_stack(vecs)
-        state = basis @ y
-        state = state / np.linalg.norm(state)
-        remaining -= tau
-        if not happy:
-            step = tau * 1.5
-    return state * norm
+    for t in times:
+        if t == 0.0:
+            yield v.astype(complex)
+            continue
+        basis, state = first, start
+        remaining = t
+        step = min(t, 10.0 / scale)
+        while remaining > 1e-15 * t:
+            if basis is None:
+                basis = _lanczos_basis(h, state, _KRYLOV_MAX_DIM, breakdown)
+                if counts is not None:
+                    counts["lanczos_bases"] += 1
+            vecs, alphas, betas, happy = basis
+            basis = None
+            tau = remaining if happy else min(step, remaining)
+            attempts = 0
+            while True:
+                y = _expm_tridiag(alphas, betas, tau)
+                if happy:
+                    err = 0.0
+                else:
+                    # posterior residual estimate: weight leaking past the basis
+                    err = abs(betas[-1] * y[-1]) * tau if betas else 0.0
+                if err <= KRYLOV_TOL * tau / t:
+                    break
+                tau *= 0.5
+                attempts += 1
+                if attempts > 200:
+                    raise NumericalError(
+                        f"krylov propagation failed to converge (err {err:.2e})"
+                    )
+            state = np.column_stack(vecs) @ y
+            state = state / np.linalg.norm(state)
+            remaining -= tau
+            if not happy:
+                step = tau * 1.5
+        yield state * norm
 
 
 def orthonormal_columns(states: list[np.ndarray]) -> np.ndarray:
@@ -326,9 +348,11 @@ def two_excitation_transfer(
     A single fault at site (2i, 0) with i > 0 is the adjacent-pair string
     U_i U_{i-1}; under the engineered hopping it mirrors to the opposite
     pair in the transfer time.  The ground state, H + dH and both pair
-    states are built once per sweep; each time propagates the initial pair
-    on its own, so a value does not depend on the other times.  ``counts``
-    is handed to ``krylov_propagate``.
+    states are built once per sweep.  The initial pair is normalised, and
+    its first Lanczos basis built, once for all times; each time then runs
+    its own step loop from that basis, so a value equals the one-time
+    ``krylov_propagate`` byte for byte and does not depend on the other
+    times.  ``counts`` tallies as in ``krylov_propagate``, one call per time.
     """
     if not 0 < i <= lat.N - 2:
         raise ValueError(f"site index {i} out of range 1..{lat.N - 2}")
@@ -338,8 +362,8 @@ def two_excitation_transfer(
         apply_to_state(multiply(toric_error_string(lat, k), toric_error_string(lat, k - 1)), psi)
         for k in (i, lat.N - 1 - i)
     )
-    overlaps = (complex(np.vdot(final, krylov_propagate(h_total, init, t, counts=counts)))
-                for t in times)
+    overlaps = (complex(np.vdot(final, evolved))
+                for evolved in _krylov_sweep(h_total, init, times, counts))
     return [float(abs(z) ** 2) for z in overlaps]
 
 

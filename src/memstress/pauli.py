@@ -10,21 +10,24 @@ index.  Lattice geometry lives elsewhere; this module only sees flat indices.
 
 Dense action.  ``apply_to_state`` and ``PauliSum.apply`` share one kernel
 that works in float64 arithmetic.  A real state goes in as it is.  A complex
-state is its float64 view: a real state with one more axis (re/im) that is
-never flipped or signed.  That axis is dropped when the imaginary parts of the
-state and of every coefficient are all zero.
+state is its float64 view, re/im pairs that are never flipped or signed
+apart.  The pairs are dropped when the imaginary parts of the state and of
+every coefficient are all zero.
 
-On the ``(2,)*n`` view of the state, where qubit q is axis ``n-1-q``, X^x
-reverses the axes of x's bits; a run of adjacent qubits with equal x bits is
-one axis.  The Z sign at output index j is (-1)^parity(x&z) (-1)^popcount(j&z).
-Its second factor is the product of two sign vectors over the high and low
-halves of j, built from ``arange`` indices on every call; nothing is cached
-between calls.  A real coefficient c folds with the sign into one ±c factor,
-so each term is one multiply of the flipped view into a reused buffer, a
-multiply per sign vector, and one ``+=`` into the sum, in term order.  A
-coefficient with a nonzero imaginary part takes numpy's complex ``*=`` after
-the exact sign step, as the former complex kernel did.  Every value equals
-that kernel's up to the sign of a zero, and sums equal it byte for byte.
+The kernel cuts the state into blocks of ``_BLOCK_FLOATS`` floats: a block
+is one value h of the high index bits and holds every low index j_lo (times
+the re/im pair).  X^x maps block h ^ x_hi onto block h and permutes inside
+it by j_lo ^ x_lo.  The Z sign at output index j is (-1)^parity(x&z)
+(-1)^popcount(j&z), a parity of h & z_hi times a sign vector over j_lo.  A
+real coefficient c folds with both signs into one ±c factor vector, so per
+block each term is one gather (only when x_lo flips low bits) and one
+multiply into a reused block buffer, then one ``+=`` into the sum, in term
+order.  A coefficient with a nonzero imaginary part takes numpy's complex
+``*=`` after the exact sign step, as the former complex kernel did.  The
+per-term masks, factor vectors and gather indices are built on every call;
+nothing is cached between calls.  Multiplying by ±1 is exact, so every
+value equals that kernel's up to the sign of a zero, and sums equal it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ __all__ = [
     "conjugate_by_circuit",
     "apply_to_state",
 ]
+
+
+# float64 values in one block of the dense kernel (64 KiB)
+_BLOCK_FLOATS = 1 << 13
 
 
 def _parity(n: int) -> int:
@@ -202,61 +209,48 @@ def _sign_vector(mask: int, index: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (parity & 1)
 
 
-def _flipped(planes: np.ndarray, x_mask: int, n: int, tail: tuple) -> np.ndarray:
-    """The view ``planes[j ^ x_mask]``, one axis per run of equal x bits."""
-    shape, flips = [], []
-    q = n - 1
-    while q >= 0:
-        bit = (x_mask >> q) & 1
-        k = q
-        while k >= 0 and (x_mask >> k) & 1 == bit:
-            k -= 1
-        shape.append(1 << (q - k))
-        flips.append(slice(None, None, -1) if bit else slice(None))
-        q = k
-    return planes.reshape(tuple(shape) + tail)[tuple(flips)]
-
-
 def _apply_terms(terms, n: int, v) -> np.ndarray:
     """Sum of ``t @ v`` over ``terms`` in order; see the module docstring."""
     v = np.asarray(v)
-    dim = 1 << n
-    if v.shape != (dim,):
+    if v.shape != (1 << n,):
         raise ValueError(f"state length {v.shape} does not match 2**{n}")
     coeffs = [complex(t.coeff) for t in terms]
     if any(c.imag != 0.0 for c in coeffs) or (np.iscomplexobj(v) and v.imag.any()):
         planes = np.ascontiguousarray(v, dtype=complex).view(np.float64)
-        tail = (2,)
+        width = 2
     else:
         planes = np.ascontiguousarray(v.real, dtype=np.float64)
-        tail = ()
-    lo = n // 2
-    hi_index = np.arange(1 << (n - lo))
-    lo_index = np.arange(1 << lo)
-    acc = np.zeros(planes.size)
-    buf = np.empty(planes.size)
-    rows = buf.reshape(hi_index.size, -1)  # high half of j by low half (and re/im)
+        width = 1
+    lo = min(n, (_BLOCK_FLOATS // width).bit_length() - 1)
+    low = (1 << lo) - 1
+    j_lo = np.arange(1 << lo)
+    tables = []
     for t, c in zip(terms, coeffs):
         scale = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
         if c.imag == 0.0:
             scale *= c.real
-        z_hi = t.z_mask >> lo
-        z_lo = t.z_mask & ((1 << lo) - 1)
-        if t.x_mask == 0 and z_hi:
-            signed = scale * _sign_vector(z_hi, hi_index)
-            np.multiply(planes.reshape(rows.shape), signed[:, None], out=rows)
-        else:
-            src = _flipped(planes, t.x_mask, n, tail)
-            np.multiply(src, scale, out=buf.reshape(src.shape))
-            if z_hi:
-                rows *= _sign_vector(z_hi, hi_index)[:, None]
-        if z_lo:
-            rows *= np.repeat(_sign_vector(z_lo, lo_index), len(tail) + 1)
-        if c.imag != 0.0:
-            cbuf = buf.view(complex)
-            cbuf *= c
-        acc += buf
-    return acc.view(complex) if tail else acc.astype(complex)
+        z_lo, x_lo = t.z_mask & low, t.x_mask & low
+        factor = np.repeat(scale * _sign_vector(z_lo, j_lo), width) if z_lo else scale
+        gather = (width * (j_lo ^ x_lo)[:, None] + np.arange(width)).reshape(-1) if x_lo else None
+        tables.append((t.x_mask >> lo, t.z_mask >> lo, (factor, -factor), gather,
+                       c if c.imag != 0.0 else None))
+    blocks = planes.reshape(-1, width << lo)
+    acc = np.zeros_like(blocks)
+    buf = np.empty(blocks.shape[1])
+    cbuf = buf.view(complex) if width == 2 else None
+    for h, row in enumerate(acc):
+        for x_hi, z_hi, factors, gather, c in tables:
+            src = blocks[h ^ x_hi]
+            if gather is None:
+                np.multiply(src, factors[_parity(h & z_hi)], out=buf)
+            else:
+                np.take(src, gather, out=buf)
+                buf *= factors[_parity(h & z_hi)]
+            if c is not None:
+                cbuf *= c
+            row += buf
+    acc = acc.reshape(-1)
+    return acc.view(complex) if width == 2 else acc.astype(complex)
 
 
 @dataclass(frozen=True)

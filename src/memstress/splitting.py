@@ -95,21 +95,22 @@ def plateau_spectrum(N: int, delta: float) -> np.ndarray:
 def _band_inertia(bands, x, tiny) -> int:
     """Eigenvalues strictly below x: negative pivots of the band LDL^T of T - x.
 
-    bands[0] is the diagonal and bands[b] the b-th superdiagonal, and x and
-    tiny are raw libmp tuples; every operation rounds to nearest at
-    mp.mp.prec, as the mpf operators do.  Elimination without pivoting keeps
-    every fill-in inside the band, so the count costs O(M k^2) for bandwidth
-    k; by Sylvester's law of inertia it is the Sturm count when k = 1.  An
-    exactly zero pivot is replaced by the tiny positive one.  A tridiagonal
-    band is passed as (diagonal, squared superdiagonal), because with k = 1
-    the superdiagonal is never updated and its squares do not depend on x.
+    bands comes from _raw_bands: bands[0] is the diagonal, bands[b] the b-th
+    superdiagonal for b = 1..k, and the last entry holds the squares of the
+    outermost one.  x and tiny are raw libmp tuples; every operation rounds
+    to nearest at mp.mp.prec, as the mpf operators do.  Elimination without
+    pivoting keeps every fill-in inside the band, so the count costs O(M k^2)
+    for bandwidth k; by Sylvester's law of inertia it is the Sturm count when
+    k = 1.  An exactly zero pivot is replaced by the tiny positive one.  The
+    outermost band is never updated, so its squares do not depend on x.
     """
     prec = mp.mp.prec
     m = len(bands[0])
-    k = len(bands) - 1
+    k = len(bands) - 2
+    squares = bands[-1]
     count = 0
     if k == 1:
-        diag, squares = bands
+        diag = bands[0]
         piv = mpf_sub(diag[0], x, prec, round_nearest)
         for d, square in zip(diag[1:], squares):
             count += piv[0]  # sign bit; zero and tiny are both positive
@@ -119,11 +120,13 @@ def _band_inertia(bands, x, tiny) -> int:
                           mpf_div(square, piv, prec, round_nearest),
                           prec, round_nearest)
         return count + piv[0]
+    # only the diagonal and the inner bands are updated, so only they are copied
     work = [[mpf_sub(v, x, prec, round_nearest) for v in bands[0]]]
-    work += [list(band) for band in bands[1:]]
+    work += [list(band) for band in bands[1:k]] + [bands[k]]
     # elimination of row i subtracts u_j u_c / pivot from entry (i+j, i+c);
-    # entries past the matrix edge stay zero and feed nothing, so they are skipped
-    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)]
+    # entries past the matrix edge stay zero and feed nothing, so they are
+    # skipped; the last update, u_k u_k into the diagonal, reads the squares
+    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)][:-1]
     diag = work[0]
     for i in range(m):
         piv = diag[i]
@@ -139,15 +142,20 @@ def _band_inertia(bands, x, tiny) -> int:
                 mpf_div(mpf_mul(work[j][i], work[c][i], prec, round_nearest),
                         piv, prec, round_nearest),
                 prec, round_nearest)
+        if k and i + k < m:  # k = 0, a diagonal matrix, eliminates nothing
+            diag[i + k] = mpf_sub(diag[i + k], mpf_div(squares[i], piv, prec, round_nearest),
+                                  prec, round_nearest)
     return count
 
 
 def _raw_bands(bands):
-    """Float bands as _band_inertia reads them at the working precision."""
+    """Float bands as _band_inertia reads them at the working precision.
+
+    The squares of the outermost band are appended, computed once per
+    bisection instead of once per count.
+    """
     raw = [[mp.mpf(x)._mpf_ for x in band] for band in bands]
-    if len(raw) == 2:
-        raw[1] = [mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[1]]
-    return raw
+    return raw + [[mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[-1]]]
 
 
 def _band_eigenvalue_mp(bands, k: int | tuple[int, ...], scale: float, dps: int):

@@ -302,7 +302,33 @@ def test_two_excitation_sweep_equals_per_time_values(toric3):
     swept = two_excitation_transfer(lat, 1, times, dh, counts=counts)
     assert swept == [_reference_two_excitation_transfer(lat, 1, t, dh) for t in times]
     assert counts["krylov_propagate_calls"] == len(times)
-    assert counts["lanczos_bases"] >= len(times) - 1  # t = 0 builds none
+    # the pair is an eigenvector to the breakdown tolerance: the shared first
+    # basis breaks down happily and finishes every time in one step
+    assert counts["lanczos_bases"] == 1
+
+
+def test_krylov_sweep_equals_per_time_propagation():
+    from memstress.oracle import _krylov_sweep
+    from memstress.pauli import pauli_y
+
+    n = 8
+    rng = np.random.default_rng(31)
+    terms = [pauli_x(n, q).scaled(rng.uniform(-1.0, 1.0)) for q in range(n)]
+    terms += [pauli_z(n, q, q + 1).scaled(rng.uniform(-1.0, 1.0)) for q in range(n - 1)]
+    terms += [pauli_y(n, q, q + 2).scaled(rng.uniform(-1.0, 1.0)) for q in range(n - 2)]
+    h_total = PauliSum.from_terms(terms, n)
+    assert h_total.is_hermitian()
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)  # norm about 22.8
+    times = [0.0, 0.3, 4.0, 0.0, 11.5, 4.0]
+    counts, single = Counter(), Counter()
+    swept = list(_krylov_sweep(h_total, v, times, counts))
+    for t, got in zip(times, swept):
+        assert got.tobytes() == krylov_propagate(h_total, v, t, counts=single).tobytes()
+    assert counts["krylov_propagate_calls"] == single["krylov_propagate_calls"] == len(times)
+    # a start that is no eigenvector needs later bases; only the first one is shared
+    positive = sum(t > 0 for t in times)
+    assert single["lanczos_bases"] > 2 * positive
+    assert counts["lanczos_bases"] == single["lanczos_bases"] - (positive - 1)
 
 
 def test_ising_prefix_basis_and_closure():
@@ -417,7 +443,7 @@ def test_oracle_summaries_record_their_work(tmp_path, monkeypatch):
     assert set(oracle["stage_seconds"]) == {"ground_state"}  # N = 2 stops before Krylov
     assert all(s >= 0.0 for s in oracle["stage_seconds"].values())
     assert pair["krylov_propagate_calls"] == 9
-    assert pair["lanczos_bases"] >= 8  # t = 0 builds none
+    assert pair["lanczos_bases"] == 1  # one shared basis serves all 8 positive times
 
 
 def _flip_first_star(lat):

@@ -354,3 +354,32 @@ def test_imaginary_coefficient_on_real_state():
         assert not out.real.any() and np.array_equal(out.imag, _reference_apply(p.scaled(-1j), v).real)
         h = PauliSum.from_terms([p, PauliTerm(n, z, x, -0.75)], n)
         assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+
+
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_sum_apply_is_byte_equal_across_blocks(n):
+    # the kernel cuts a real state into blocks of 2**lo amplitudes and a
+    # complex one into blocks of 2**(lo - 1); every mask straddles both cuts
+    from memstress.pauli import _BLOCK_FLOATS
+
+    lo = _BLOCK_FLOATS.bit_length() - 1
+    assert n >= lo  # a complex state spans several blocks, a real one from n = lo + 1
+    rng = np.random.default_rng(30 + n)
+    edges = [1 << b for b in (lo - 2, lo - 1, lo, lo + 1) if b < n]
+    masks = [int(rng.integers(0, 1 << n)) | edges[0] | edges[-1] for _ in range(5)]
+    masks += [0, edges[0] | edges[-1], edges[len(edges) // 2]]
+    terms = []
+    for _ in range(30):
+        x, z = (masks[i] for i in rng.integers(len(masks), size=2))
+        c = _SIGNED_COEFFS[rng.integers(len(_SIGNED_COEFFS))] * rng.uniform(0.1, 2.0)
+        terms.append(PauliTerm(n, x, z, c))
+    complex_sum = PauliSum.from_terms(terms, n)
+    real_sum = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real)
+                                    for t in terms if t.coeff.real != 0.0], n)
+    assert any(t.coeff.imag for t in complex_sum) and not any(t.coeff.imag for t in real_sum)
+    real, cplx = _signed_zero_states(rng, n)
+    for v in (real, cplx):
+        for h in (real_sum, complex_sum):
+            assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
+        for t in complex_sum.terms[:6]:
+            assert np.array_equal(apply_to_state(t, v), _reference_apply(t, v))

@@ -386,6 +386,59 @@ def test_counts_equal_mpf_reference_at_random_mids(k):
     assert len(zero_pivots) >= 20
 
 
+def _former_band_inertia(bands, x, tiny) -> int:
+    """The k != 1 count before the outer-band squares: u_k u_k formed on every count."""
+    from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
+
+    prec = mp.mp.prec
+    m = len(bands[0])
+    k = len(bands) - 1
+    work = [[mpf_sub(v, x, prec, round_nearest) for v in bands[0]]]
+    work += [list(band) for band in bands[1:]]
+    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)]
+    diag = work[0]
+    count = 0
+    for i in range(m):
+        piv = diag[i]
+        count += piv[0]
+        if piv == fzero:
+            piv = tiny
+        for dst, j, c in updates:
+            if i + c >= m:
+                break
+            row = work[dst]
+            row[i + j] = mpf_sub(
+                row[i + j],
+                mpf_div(mpf_mul(work[j][i], work[c][i], prec, round_nearest),
+                        piv, prec, round_nearest),
+                prec, round_nearest)
+    return count
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_outer_band_squares_keep_every_count(k):
+    rng = np.random.default_rng(40 + k)
+    checked = 0
+    for m in (k + 1, 6, 11):
+        cases = [
+            ([rng.uniform(-2.0, 2.0, m - b) for b in range(k + 1)], rng.uniform(-6.0, 6.0, 200)),
+            ([rng.integers(-8, 9, m - b) / 4.0 for b in range(k + 1)],
+             rng.integers(-12, 13, 200) / 4.0),
+        ]
+        for dps in (DEFAULT_DPS, 2 * DEFAULT_DPS):
+            with mp.workdps(dps):
+                tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
+                for float_bands, mids in cases:
+                    raw = splitting._raw_bands(float_bands)
+                    former = [[mp.mpf(x)._mpf_ for x in band] for band in float_bands]
+                    for x in mids:
+                        x = mp.mpf(x)._mpf_
+                        assert splitting._band_inertia(raw, x, tiny) == \
+                            _former_band_inertia(former, x, tiny)
+                        checked += 1
+    assert checked == 3 * 2 * 2 * 200
+
+
 def test_tied_pair_equals_mpf_reference():
     # the zero-coupling family: both ranks sit on the same eigenvalue
     chain = SymTridiag(np.zeros(2), np.array([0.0]))
