@@ -32,7 +32,7 @@ from memstress.oracle import (
     two_excitation_transfer,
     verify_duality_map,
 )
-from memstress.pauli import PauliSum, apply_to_state, multiply, pauli_x, pauli_z
+from memstress.pauli import PauliSum, apply_to_state, multiply, pauli_x, pauli_y, pauli_z
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +309,6 @@ def test_two_excitation_sweep_equals_per_time_values(toric3):
 
 def test_krylov_sweep_equals_per_time_propagation():
     from memstress.oracle import _krylov_sweep
-    from memstress.pauli import pauli_y
 
     n = 8
     rng = np.random.default_rng(31)
