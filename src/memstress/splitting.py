@@ -7,11 +7,14 @@ k-banded perturbation).  The splittings shrink below double precision almost
 immediately, so eigenvalues are also computed at extended precision by
 bisection on one band LDL^T inertia count: a tridiagonal chain is
 bandwidth 1, a k-banded perturbation bandwidth k, and a count costs O(M k^2).
-The count runs on mpmath's raw libmp tuples with the roundings the mpf
-operators perform, and both ranks of a pair bisect from one bracket, sharing
-every count until a midpoint falls between their eigenvalues.  A bisection's
-result depends only on its count decisions, so neither changes a returned
-eigenvalue.  The digits are worked out per point: a bisection starts at
+The count and the bisection run on (signed mantissa, exponent) pairs of
+Python ints: each subtraction, product and quotient is formed exactly and
+rounded to nearest, ties to even, at mp.prec bits.  libmp's operators round
+correctly in the same mode and a correctly rounded result is unique, so every
+value equals the mpf one.  Both ranks of a pair bisect from one bracket,
+sharing every count until a midpoint falls between their eigenvalues.  A
+bisection's result depends only on its count decisions, so neither changes a
+returned eigenvalue.  The digits are worked out per point: a bisection starts at
 DEFAULT_DPS and doubles them while the splitting stays below the floor
 10^-(dps-12).
 """
@@ -24,7 +27,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .effective import SymTridiag
 from .spectral import (
@@ -92,100 +95,242 @@ def plateau_spectrum(N: int, delta: float) -> np.ndarray:
     return 2.0 * (N + 1) + 2.0 * delta * np.cos(i * math.pi / (P + 1))
 
 
+def _from_libmp(raw) -> tuple[int, int]:
+    """(signed mantissa, exponent) pair of a raw libmp tuple: value mantissa * 2**exponent."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp rounded to prec bits, to nearest with ties to even, as libmp's normalize.
+
+    t keeps the prec result bits and the half bit below them; the result
+    rounds up when the half bit is set and either the kept bits are odd or
+    a bit below the half bit is set.  The mantissa is signed and >> floors,
+    so the bits shifted out are the floor remainder and the rule reads the
+    same for both signs.  Trailing zero bits are kept (the value is what
+    counts), and a mantissa that rounds up to a power of two may hold
+    prec + 1 bits.
+    """
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + (1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else 0)
+        exp += n
+    return man, exp
+
+
+def _sub(a, b, prec: int) -> tuple[int, int]:
+    """a - b correctly rounded at prec bits: formed exactly on the finer exponent, then rounded."""
+    (am, ae), (bm, be) = a, b
+    if ae > be:
+        return _round((am << (ae - be)) - bm, be, prec)
+    return _round(am - (bm << (be - ae)), ae, prec)
+
+
+def _mul(a, b, prec: int) -> tuple[int, int]:
+    """a * b correctly rounded at prec bits."""
+    return _round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _div(a, b, prec: int) -> tuple[int, int]:
+    """a / b correctly rounded at prec bits, for b nonzero and a of at most prec + 1 bits.
+
+    Every rounded value has at most prec + 1 bits (prec + 1 only for a power
+    of two), so the quotient is carried to at least prec + 5 bits; a nonzero remainder
+    puts the floored quotient q at 2q + 1 one bit lower, a sticky bit that
+    lies strictly between the rounding boundaries, as in libmp's mpf_div.
+    """
+    (am, ae), (bm, be) = a, b
+    if not am:
+        return a
+    extra = prec + 5 + bm.bit_length() - am.bit_length()
+    quot, rem = divmod(am << extra, bm)
+    if rem:
+        return _round(quot << 1 | 1, ae - be - extra - 1, prec)
+    return _round(quot, ae - be - extra, prec)
+
+
+def _canonical(a) -> tuple[int, int]:
+    """The pair with trailing zero bits stripped: equal values give equal pairs."""
+    man, exp = a
+    if not man:
+        return 0, 0
+    t = (man & -man).bit_length() - 1
+    return man >> t, exp + t
+
+
 def _band_inertia(bands, x, tiny) -> int:
     """Eigenvalues strictly below x: negative pivots of the band LDL^T of T - x.
 
     bands comes from _raw_bands: bands[0] is the diagonal, bands[b] the b-th
     superdiagonal for b = 1..k, and the last entry holds the squares of the
-    outermost one.  x and tiny are raw libmp tuples; every operation rounds
-    to nearest at mp.mp.prec, as the mpf operators do.  Elimination without
-    pivoting keeps every fill-in inside the band, so the count costs O(M k^2)
-    for bandwidth k; by Sylvester's law of inertia it is the Sturm count when
-    k = 1.  An exactly zero pivot is replaced by the tiny positive one.  The
-    outermost band is never updated, so its squares do not depend on x.
+    outermost one.  Every entry, x and tiny are (signed mantissa, exponent)
+    pairs.  Each subtraction, product and quotient is formed exactly in
+    integers (the quotient with a sticky bit) and rounded to nearest, ties to
+    even, at mp.mp.prec bits: these are _sub, _mul and _div inlined, and a
+    correctly rounded result is unique, so every value equals the one the mpf
+    operators give.  Elimination without pivoting keeps every fill-in inside
+    the band, so the count costs O(M k^2) for bandwidth k; by Sylvester's law
+    of inertia it is the Sturm count when k = 1.  A pivot counts when its
+    mantissa is negative; an exactly zero pivot is replaced by the tiny
+    positive one.  The outermost band is never updated, so its squares do not
+    depend on x.
     """
     prec = mp.mp.prec
     m = len(bands[0])
     k = len(bands) - 2
     squares = bands[-1]
+    xm, xe = x
     count = 0
     if k == 1:
-        diag = bands[0]
-        piv = mpf_sub(diag[0], x, prec, round_nearest)
-        for d, square in zip(diag[1:], squares):
-            count += piv[0]  # sign bit; zero and tiny are both positive
-            if piv == fzero:
-                piv = tiny
-            piv = mpf_sub(mpf_sub(d, x, prec, round_nearest),
-                          mpf_div(square, piv, prec, round_nearest),
-                          prec, round_nearest)
-        return count + piv[0]
+        pm, pe = _sub(bands[0][0], x, prec)
+        for (dm, de), (sm, se) in zip(bands[0][1:], squares):
+            count += pm < 0
+            if not pm:
+                pm, pe = tiny
+            # d - x
+            if de > xe:
+                am, ae = (dm << (de - xe)) - xm, xe
+            else:
+                am, ae = dm - (xm << (xe - de)), de
+            n = am.bit_length() - prec
+            if n > 0:
+                t = am >> (n - 1)
+                am = (t >> 1) + (1 if t & 1 and (t & 2 or am & ((1 << (n - 1)) - 1)) else 0)
+                ae += n
+            # square / pivot, rounded from prec + 5 bits or more with a sticky bit
+            if sm:
+                extra = prec + 5 + pm.bit_length() - sm.bit_length()
+                qm, rem = divmod(sm << extra, pm)
+                qe = se - pe - extra
+                if rem:
+                    qm = qm << 1 | 1
+                    qe -= 1
+                n = qm.bit_length() - prec
+                t = qm >> (n - 1)
+                qm = (t >> 1) + (1 if t & 1 and (t & 2 or qm & ((1 << (n - 1)) - 1)) else 0)
+                qe += n
+                # (d - x) - square / pivot
+                if ae > qe:
+                    pm, pe = (am << (ae - qe)) - qm, qe
+                else:
+                    pm, pe = am - (qm << (qe - ae)), ae
+                n = pm.bit_length() - prec
+                if n > 0:
+                    t = pm >> (n - 1)
+                    pm = (t >> 1) + (1 if t & 1 and (t & 2 or pm & ((1 << (n - 1)) - 1)) else 0)
+                    pe += n
+            else:
+                pm, pe = am, ae
+        return count + (pm < 0)
     # only the diagonal and the inner bands are updated, so only they are copied
-    work = [[mpf_sub(v, x, prec, round_nearest) for v in bands[0]]]
-    work += [list(band) for band in bands[1:k]] + [bands[k]]
+    diag = [_sub(v, x, prec) for v in bands[0]]
+    work = [diag] + [list(band) for band in bands[1:k]] + [bands[k]]
     # elimination of row i subtracts u_j u_c / pivot from entry (i+j, i+c);
     # entries past the matrix edge stay zero and feed nothing, so they are
     # skipped; the last update, u_k u_k into the diagonal, reads the squares
-    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)][:-1]
-    diag = work[0]
+    updates = [(c - j, j, c) for c in range(1, k + 1) for j in range(1, c + 1)]
     for i in range(m):
-        piv = diag[i]
-        count += piv[0]
-        if piv == fzero:
-            piv = tiny
+        pm, pe = diag[i]
+        count += pm < 0
+        if not pm:
+            pm, pe = tiny
+        pbits = pm.bit_length()
         for dst, j, c in updates:
             if i + c >= m:
                 break
+            if j < k:
+                (um, ue), (vm, ve) = work[j][i], work[c][i]
+                am, ae = um * vm, ue + ve
+                n = am.bit_length() - prec
+                if n > 0:
+                    t = am >> (n - 1)
+                    am = (t >> 1) + (1 if t & 1 and (t & 2 or am & ((1 << (n - 1)) - 1)) else 0)
+                    ae += n
+                if not am:
+                    continue  # subtracting an exact zero leaves the entry as it is
+            else:
+                am, ae = squares[i]
+                if not am:
+                    continue
+            # product / pivot, rounded from prec + 5 bits or more with a sticky bit
+            extra = prec + 5 + pbits - am.bit_length()
+            qm, rem = divmod(am << extra, pm)
+            qe = ae - pe - extra
+            if rem:
+                qm = qm << 1 | 1
+                qe -= 1
+            n = qm.bit_length() - prec
+            t = qm >> (n - 1)
+            qm = (t >> 1) + (1 if t & 1 and (t & 2 or qm & ((1 << (n - 1)) - 1)) else 0)
+            qe += n
+            # entry - product / pivot
             row = work[dst]
-            row[i + j] = mpf_sub(
-                row[i + j],
-                mpf_div(mpf_mul(work[j][i], work[c][i], prec, round_nearest),
-                        piv, prec, round_nearest),
-                prec, round_nearest)
-        if k and i + k < m:  # k = 0, a diagonal matrix, eliminates nothing
-            diag[i + k] = mpf_sub(diag[i + k], mpf_div(squares[i], piv, prec, round_nearest),
-                                  prec, round_nearest)
+            rm, re = row[i + j]
+            if re > qe:
+                rm, re = (rm << (re - qe)) - qm, qe
+            else:
+                rm, re = rm - (qm << (qe - re)), re
+            n = rm.bit_length() - prec
+            if n > 0:
+                t = rm >> (n - 1)
+                rm = (t >> 1) + (1 if t & 1 and (t & 2 or rm & ((1 << (n - 1)) - 1)) else 0)
+                re += n
+            row[i + j] = rm, re
     return count
 
 
 def _raw_bands(bands):
-    """Float bands as _band_inertia reads them at the working precision.
+    """Float bands as (signed mantissa, exponent) pairs at the working precision.
 
-    The squares of the outermost band are appended, computed once per
-    bisection instead of once per count.
+    Each float converts exactly through mpf; the squares of the outermost
+    band are appended, formed by mpf_mul at mp.mp.prec once per bisection
+    instead of once per count.
     """
     raw = [[mp.mpf(x)._mpf_ for x in band] for band in bands]
-    return raw + [[mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[-1]]]
+    raw.append([mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[-1]])
+    return [[_from_libmp(v) for v in band] for band in raw]
+
+
+def _midpoint(lo, hi, prec: int) -> tuple[int, int]:
+    """(lo + hi) / 2 as the mpf operators give it, in canonical form."""
+    man, exp = _sub(lo, (-hi[0], hi[1]), prec)
+    return _canonical((man, exp - 1))
 
 
 def _band_eigenvalue_mp(bands, k: int | tuple[int, ...], scale: float, dps: int):
     """Eigenvalue of rank k at dps digits from float bands; a tuple of ranks gives a tuple.
 
-    scale bounds the spectral radius.  Every rank bisects from the same
-    bracket, so the counts are memoised on the midpoint's raw tuple: two
-    ranks share every count until a midpoint falls between their
-    eigenvalues, and each takes the decisions it would take alone.
+    scale bounds the spectral radius.  The bracket, the tolerance and every
+    midpoint are (signed mantissa, exponent) pairs rounded as the mpf
+    operators round them.  Every rank bisects from the same bracket, so the
+    counts are memoised on the midpoint's canonical pair: two ranks share
+    every count until a midpoint falls between their eigenvalues, and each
+    takes the decisions it would take alone.
     """
     ranks = k if isinstance(k, tuple) else (k,)
     with mp.workdps(dps):
+        prec = mp.mp.prec
         bands = _raw_bands(bands)
-        tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
+        tiny = _from_libmp((mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_)
         radius = mp.mpf(scale) + 1
-        tol = (radius + 1) * mp.mpf(10) ** (-(dps - 8))
-        counts: dict[tuple, int] = {}
+        tol = _from_libmp(((radius + 1) * mp.mpf(10) ** (-(dps - 8)))._mpf_)
+        top = _from_libmp(radius._mpf_)
+        counts: dict[tuple[int, int], int] = {}
         out = []
         for rank in ranks:
-            lo, hi = -radius, radius
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                key = mid._mpf_
-                if key not in counts:
-                    counts[key] = _band_inertia(bands, key, tiny)
-                if counts[key] >= rank + 1:
+            lo, hi = (-top[0], top[1]), top
+            # hi - lo > tol as mpf decides it: rounding keeps the sign of round(hi - lo) - tol
+            while _sub(_sub(hi, lo, prec), tol, prec)[0] > 0:
+                mid = _midpoint(lo, hi, prec)
+                if mid not in counts:
+                    counts[mid] = _band_inertia(bands, mid, tiny)
+                if counts[mid] >= rank + 1:
                     hi = mid
                 else:
                     lo = mid
-            out.append((lo + hi) / 2)
+            out.append(mp.mpf(_midpoint(lo, hi, prec)))
     return tuple(out) if isinstance(k, tuple) else out[0]
 
 

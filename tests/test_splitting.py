@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +18,7 @@ from memstress.spectral import NumericalError, eigh_tridiag
 from memstress.splitting import (
     DEFAULT_DPS,
     MAX_DPS,
+    _from_libmp,
     _pair_splitting,
     dense_eigenvalue_mp,
     measure_splitting,
@@ -373,14 +376,15 @@ def test_counts_equal_mpf_reference_at_random_mids(k):
     checked = 0
     for dps in (DEFAULT_DPS, 2 * DEFAULT_DPS):
         with mp.workdps(dps):
-            tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
+            tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
             for float_bands, mids in cases:
                 ref_bands = [[mp.mpf(x) for x in band] for band in float_bands]
                 raw = splitting._raw_bands(float_bands)
                 for x in mids:
                     x = mp.mpf(x)
                     want = _reference_inertia(ref_bands, x, zero_pivots)
-                    assert splitting._band_inertia(raw, x._mpf_, tiny) == want
+                    assert splitting._band_inertia(raw, _from_libmp(x._mpf_),
+                                                   _from_libmp(tiny._mpf_)) == want
                     checked += 1
     assert checked >= 1000
     assert len(zero_pivots) >= 20
@@ -415,6 +419,87 @@ def _former_band_inertia(bands, x, tiny) -> int:
     return count
 
 
+def _reference_pivots(bands, x) -> list:
+    """The pivots of _reference_inertia's elimination, zeros included as they are."""
+    m = len(bands[0])
+    k = len(bands) - 1
+    work = [[v - x for v in bands[0]]] + [list(band) for band in bands[1:]]
+    for band in work:
+        band.extend([mp.mpf(0)] * (m + k - len(band)))
+    updates = [(c - j, j, c) for j in range(1, k + 1) for c in range(j, k + 1)]
+    tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
+    pivots = []
+    for i in range(m):
+        pivots.append(work[0][i])
+        piv = work[0][i] or tiny
+        for dst, j, c in updates:
+            work[dst][i + j] -= work[j][i] * work[c][i] / piv
+    return pivots
+
+
+def _pivot_probe(bands, r, pivot, x, rows):
+    """The leading r + 1 rows of bands and 1 or 2 rows that show pivot r to the last bit.
+
+    Row r + 1 couples only to row r, by the pivot p, and holds x + (p p)/p
+    rounded as the mpf operators round it: its pivot is exactly zero when the
+    count's pivot r is p and at least an ulp away otherwise.  Row r + 2
+    couples only to row r + 1, by 1, and holds x + 2^(3 prec/2): less 1/tiny
+    its pivot is negative, less the reciprocal of an ulp-sized pivot it is
+    positive.  A pivot r off by an ulp one way adds a negative pivot at row
+    r + 1, the other way drops the one at row r + 2.
+    """
+    m = r + 1 + rows
+    diag = list(bands[0][: r + 1]) + [mp.fadd(x, pivot * pivot / pivot, exact=True),
+                                      mp.fadd(x, mp.mpf(2) ** (3 * mp.mp.prec // 2), exact=True)]
+    out = [diag[:m]]
+    for b, band in enumerate(bands[1:], start=1):
+        tail = [pivot, mp.mpf(1)] if b == 1 else []
+        band = list(band[: max(r + 1 - b, 0)]) + tail
+        out.append((band + [mp.mpf(0)] * m)[: m - b])
+    return out
+
+
+def _inline_bands(ref_bands):
+    """ref_bands as _raw_bands lays them out, without rounding entries wider than prec."""
+    squares = [v * v for v in ref_bands[-1]]  # rounded at prec, as _raw_bands forms them
+    return [[_from_libmp(v._mpf_) for v in band] for band in ref_bands + [squares]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_pivot_equals_the_mpf_pivot(k):
+    # the counts above only see pivot signs, which a one-ulp slip in a
+    # rounding rarely flips; this probes each pivot to the last bit, at mids of
+    # full precision (d - x is inexact, ties happen) and at float mids
+    rng = np.random.default_rng(60 + k)
+    bits = random.Random(60 + k)
+    m = 7
+    probed = 0
+    for dps in (60, 120, 240, 480):
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            tiny = _from_libmp((mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_)
+            for float_bands in ([rng.uniform(-2.0, 2.0, m - b) for b in range(k + 1)],
+                                [rng.integers(-8, 9, m - b) / 4.0 for b in range(k + 1)]):
+                ref_bands = [[mp.mpf(v) for v in band] for band in float_bands]
+                mids = [mp.mpf(v) for v in rng.integers(-12, 13, 4) / 4.0]
+                mids += [mp.mpf(((-1) ** i * (bits.getrandbits(prec) | 1 << (prec - 1) | 1),
+                                 bits.randint(-1, 2) - prec)) for i in range(4)]
+                for x in mids:
+                    x_pair = _from_libmp(x._mpf_)
+                    pivots = _reference_pivots(ref_bands, x)
+                    for r, pivot in enumerate(pivots):
+                        if abs(pivot) < mp.mpf(2) ** (-prec // 4):
+                            continue  # an ulp of a tiny pivot is not seen against 1/tiny
+                        below = sum(p < 0 for p in pivots[: r + 1])
+                        for rows, want in ((1, below), (2, below + 1)):
+                            probe = _pivot_probe(ref_bands, r, pivot, x, rows)
+                            assert _reference_inertia(probe, x) == want
+                            got = splitting._band_inertia(_inline_bands(probe), x_pair, tiny)
+                            assert got == want, (dps, x, r)
+                        probed += 1
+    assert probed >= 4 * 2 * 8 * m * 3 // 4
+
+
 @pytest.mark.parametrize("k", [0, 2, 3])
 def test_outer_band_squares_keep_every_count(k):
     rng = np.random.default_rng(40 + k)
@@ -433,7 +518,7 @@ def test_outer_band_squares_keep_every_count(k):
                     former = [[mp.mpf(x)._mpf_ for x in band] for band in float_bands]
                     for x in mids:
                         x = mp.mpf(x)._mpf_
-                        assert splitting._band_inertia(raw, x, tiny) == \
+                        assert splitting._band_inertia(raw, _from_libmp(x), _from_libmp(tiny)) == \
                             _former_band_inertia(former, x, tiny)
                         checked += 1
     assert checked == 3 * 2 * 2 * 200
@@ -474,3 +559,90 @@ def test_pair_call_shares_counts(monkeypatch, case):
     calls.clear()
     assert eigenvalue_mp(matrix, (1, 0)) == single
     assert 0 < len(calls) < single_calls
+    # the counts of the memo keyed on libmp tuples: the canonical pair key
+    # must hit exactly where that key hit
+    assert (len(calls), single_calls) == {"tridiag": (298, 348), "banded": (313, 348)}[case]
+
+
+def _value(pair):
+    man, exp = pair
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _rounding_kind(exact, got, prec):
+    """'exact', 'tie-down' or 'tie-up' (in magnitude), or 'inexact' for a non-tie."""
+    if exact == got:
+        return "exact"
+    mag = abs(exact)
+    top = mag.numerator.bit_length() - mag.denominator.bit_length()
+    if Fraction(2) ** top > mag:
+        top -= 1  # now 2**top <= |exact| < 2**(top + 1)
+    if abs(exact - got) != Fraction(2) ** (top - prec):
+        return "inexact"
+    return "tie-down" if abs(got) < mag else "tie-up"
+
+
+def _operand_cases(prec, rng):
+    """Operand pairs (mantissa, exponent) for sub, mul and div, mantissas of at most prec bits."""
+    def rand(bits=prec):
+        return rng.choice((1, -1)) * rng.getrandbits(bits) | 1
+
+    top = 1 << (prec - 1)
+    zero = (0, 0)
+    sub = []
+    for low in (0, 1):  # 2A + 1 is a tie between A and A + 1: down when A is even, up when odd
+        for a in (top + 2 * rng.getrandbits(prec - 3) + low, (1 << prec) - 1):
+            sub += [((a, 1), (-1, 0)), ((-a, 1), (1, 0))]
+    for gap in (prec + 5, 3 * prec):  # an operand beyond prec + 4 bits below the other
+        big, small = (rand(), 0), (rand(53), -gap)
+        sub += [(big, small), (small, big), ((-big[0], 0), small)]
+    sub += [((rand(), -7), zero), (zero, (rand(), 9)), (zero, zero)]
+    x = (rand(), -prec)
+    sub += [(x, x), (x, (x[0] << 3, x[1] - 3))]  # exact zeros, the second not canonical
+    sub += [((rand(), rng.randint(-2 * prec, 2 * prec)), (rand(), rng.randint(-2 * prec, 2 * prec)))
+            for _ in range(200)]
+    mul = []
+    for a in range(((1 << prec) // 3) | 1, ((1 << prec) // 3) + 9, 2):  # 3a: prec + 1 bits, odd
+        mul += [((a, 0), (3, 0)), ((-a, 0), (3, 5))]
+    mul += [(zero, (rand(), 3)), ((rand(), -3), zero)]
+    mul += [((rand(), rng.randint(-prec, prec)), (rand(), rng.randint(-prec, prec)))
+            for _ in range(200)]
+    div = []
+    for _ in range(20):
+        b = rand(53)
+        div += [((b * rand(prec - 60), 4), (b, -2)), ((rand(), 0), (b, 0))]  # exact, remainder
+    div += [((rand(), -5), (1, 7)), ((rand(), 2), (-1 << 4, -4)), (zero, (rand(), 0))]
+    div += [((rand(), rng.randint(-prec, prec)), (rand(), rng.randint(-prec, prec)))
+            for _ in range(200)]
+    return sub, mul, div
+
+
+@pytest.mark.parametrize("dps", [60, 120, 240, 480])
+def test_integer_operations_equal_libmp(dps):
+    from mpmath.libmp import from_man_exp, mpf_div, mpf_mul, mpf_sub, round_nearest
+
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+    sub, mul, div = _operand_cases(prec, rng)
+    kinds = {"sub": set(), "mul": set(), "div": set()}
+    perturbed = set()
+    for name, ours, libmp, cases in (("sub", splitting._sub, mpf_sub, sub),
+                                     ("mul", splitting._mul, mpf_mul, mul),
+                                     ("div", splitting._div, mpf_div, div)):
+        for a, b in cases:
+            want = libmp(from_man_exp(*a), from_man_exp(*b), prec, round_nearest)
+            got = ours(a, b, prec)
+            assert splitting._canonical(got) == _from_libmp(want), (name, a, b)
+            exact = _value(a) - _value(b) if name == "sub" else \
+                _value(a) * _value(b) if name == "mul" else _value(a) / _value(b)
+            kinds[name].add(_rounding_kind(exact, _value(got), prec))
+            if name == "sub" and a[0] and b[0]:
+                # libmp's perturbation branch: more than prec + 4 bits between magnitudes
+                delta = (abs(a[0]).bit_length() + a[1]) - (abs(b[0]).bit_length() + b[1])
+                if abs(a[1] - b[1]) > 100 and abs(delta) > prec + 4:
+                    perturbed.add(delta > 0)
+    assert {"exact", "tie-down", "tie-up", "inexact"} <= kinds["sub"]
+    assert {"exact", "tie-down", "tie-up", "inexact"} <= kinds["mul"]
+    assert {"exact", "inexact"} <= kinds["div"]
+    assert perturbed == {True, False}
