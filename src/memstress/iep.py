@@ -6,6 +6,13 @@ lattice step so that exp(-i lam_i t) = exp(i theta) sign(a_i) holds with a
 single global theta.  A symmetric tridiagonal matrix with the retuned
 spectrum is then rebuilt, which realizes perfect transfer at the chosen t
 while moving each coupling only O(1/t).
+
+A persymmetric Jacobi matrix is fixed by its spectrum alone (Hald 1976), and
+the mirror folds it into two half-size chains whose spectra interlace (see
+spectral._persymmetric_split).  retune_chain runs that fold backwards: one
+Lanczos reconstruction (de Boor & Golub 1978) of the ceil(M/2)-site
+mirror-even half, about (M/2)^3 work instead of M^3, then a mirrored copy.
+reconstruct_jacobi itself stays general, for any spectrum and weights.
 """
 
 from __future__ import annotations
@@ -161,8 +168,16 @@ def retune_chain(m: SymTridiag, t: float) -> tuple[SymTridiag, RetunePlan]:
     """Retune a mirror-symmetric chain for perfect transfer at time t.
 
     The spectrum is snapped by retune_eigenvalues and the unique
-    mirror-symmetric chain with the retuned spectrum is rebuilt from
-    mirror_symmetric_weights, so F(t) = 1 up to roundoff.
+    mirror-symmetric chain with the retuned spectrum is rebuilt, so
+    F(t) = 1 up to roundoff.  The rebuild inverts the fold of
+    spectral._persymmetric_split: one reconstruct_jacobi call rebuilds the
+    mirror-even half, with spectrum lam[0::2] (odd M) or lam[1::2] (even M)
+    and first-component weights 2 w from mirror_symmetric_weights.  For odd
+    M = 2m + 1 the half has m + 1 sites and last coupling sqrt(2) b_(m-1);
+    for even M = 2m its last diagonal entry carries the centre coupling
+    b_c = sum(lam[1::2] - lam[0::2]) / 2, which the trace of the two halves
+    fixes.  The other half is a copy, so the rebuild is exactly
+    persymmetric.
     """
     if not m.is_persymmetric():
         raise ValueError(
@@ -172,5 +187,22 @@ def retune_chain(m: SymTridiag, t: float) -> tuple[SymTridiag, RetunePlan]:
     if m.dim >= 2 and np.any(m.offdiag == 0.0):
         raise ValueError("persymmetric retuning needs nonzero couplings")
     plan = retune_eigenvalues(eigh_tridiag(m), t)
-    rebuilt = reconstruct_jacobi(plan.retuned, mirror_symmetric_weights(plan.retuned))
-    return rebuilt, plan
+    lam = plan.retuned
+    w = mirror_symmetric_weights(lam)
+    if lam.size == 1:
+        return reconstruct_jacobi(lam, w), plan
+    if lam.size % 2:
+        fold = reconstruct_jacobi(lam[0::2], 2.0 * w[0::2])
+        diag = np.concatenate([fold.diag, fold.diag[-2::-1]])
+        edge = fold.offdiag.copy()
+        edge[-1] /= np.sqrt(2.0)
+        off = np.concatenate([edge, edge[::-1]])
+    else:
+        fold = reconstruct_jacobi(lam[1::2], 2.0 * w[1::2])
+        # the trace fixes b_c; a sum of positive neighbour gaps does not cancel
+        centre = 0.5 * float(np.sum(lam[1::2] - lam[0::2]))
+        half = fold.diag.copy()
+        half[-1] -= centre
+        diag = np.concatenate([half, half[::-1]])
+        off = np.concatenate([fold.offdiag, [centre], fold.offdiag[::-1]])
+    return SymTridiag(diag, off), plan

@@ -189,10 +189,16 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
 
     A base grid with spacing pi / (4 * spectral width) oversamples the
     fastest fidelity oscillation; windows that could still reach the
-    threshold (by the Lipschitz bound on F) are subdivided in time order, so
-    the first crossing found is the global first crossing.  Windows the
-    screen proves out of reach are skipped without exact values.  A miss is
-    reported in the result (reached=False), not raised.
+    threshold (by the Lipschitz bound lip on F) are subdivided in time order
+    down to the width w_min = (1 - threshold) / (4 * lip), floored at
+    1e-12 * t_max.  A window at most that wide with neither end at the
+    threshold is dropped, so a peak inside it that exceeds the threshold by
+    less than lip * w_min / 2 (= (1 - threshold) / 8 above the floor) may be
+    missed.  So the crossing returned is not always the global first
+    crossing; it lies at most w_min after the first time F reaches
+    threshold + lip * w_min / 2.  Windows the screen proves out of reach are
+    skipped without exact values.  A miss is reported in the result
+    (reached=False), not raised.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
@@ -201,8 +207,9 @@ def measure_transfer_time(s: SpectralData, threshold: float, t_max: float) -> Tr
     times = time_grid(s, t_max)
     scan = _ScanValues(s, times)
     lip = _lipschitz(s)
-    # smallest window still worth splitting: a peak exceeding the
-    # threshold by a quarter of the remaining headroom cannot hide in it
+    # smallest window still split: between two ends below the threshold, a
+    # peak in it exceeds the threshold by less than lip * w_min / 2, an
+    # eighth of the remaining headroom
     w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max) if lip > 0 else t_max
     g = scan.screen
     reach = np.maximum(g[:-1], g[1:]) + lip * np.diff(times) * 0.5

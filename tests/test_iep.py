@@ -157,6 +157,35 @@ def test_retune_chain_end_to_end(N):
     assert np.max(np.abs((rebuilt.diag - 2.0) / delta)) <= 1.0
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 63, 64])
+def test_retune_chain_unfolds_an_exact_mirror(M):
+    chain = uniform_chain(M + 1)
+    t = 100.0 if M == 1 else 50.0 * math.pi / min_gap(eigh_tridiag(chain))
+    rebuilt, plan = retune_chain(chain, t)
+    assert rebuilt.diag.tobytes() == rebuilt.diag[::-1].tobytes()
+    assert rebuilt.offdiag.tobytes() == rebuilt.offdiag[::-1].tobytes()
+    # so eigh_tridiag of the rebuild takes the persymmetric fold
+    assert rebuilt.is_persymmetric() and np.all(rebuilt.offdiag > 0.0)
+    # Rounding budget, fixed before the run.  The half-size Lanczos steps,
+    # the unfold (one division by sqrt(2), or the centre coupling's sum of
+    # positive differences) and the half-size eigensolves each move T by at
+    # most a few dot products of length <= M, so 8 (M + 2) eps |T| bounds
+    # the eigenvalue error (Weyl) and each entry's distance from a full-size
+    # rebuild of the same measure.  A unit eigenvector moves by at most
+    # |dT| / (gap - |dT|), so a squared first component by twice that.
+    eps = np.finfo(float).eps
+    norm = max(1.0, float(np.max(np.abs(plan.retuned))))
+    bound = 8 * (M + 2) * eps * norm
+    s = eigh_tridiag(rebuilt)
+    gap = min_gap(s) if M > 1 else math.inf
+    w = mirror_symmetric_weights(plan.retuned)
+    assert np.max(np.abs(s.eigenvalues - plan.retuned)) <= bound
+    assert np.max(np.abs(s.first_components**2 - w)) <= 2.0 * bound / (gap - bound)
+    full = reconstruct_jacobi(plan.retuned, w)
+    assert np.max(np.abs(rebuilt.diag - full.diag)) <= bound
+    assert np.max(np.abs(rebuilt.offdiag - full.offdiag), initial=0.0) <= bound
+
+
 def test_retune_chain_shift_halves_when_t_doubles():
     N = 20
     chain = uniform_chain(N)

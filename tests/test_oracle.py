@@ -170,6 +170,31 @@ def test_krylov_matches_dense_expm():
         assert np.linalg.norm(got - want) < 1e-8
 
 
+@pytest.mark.parametrize("t", [15.0, 25.0, 40.0, 100.0])
+def test_krylov_step_control_meets_its_tolerance(t):
+    # A random state of a random 6-qubit sum lies in no small invariant
+    # subspace, so no basis breaks down early and every step's size is set
+    # by the posterior estimate against its share of KRYLOV_TOL = 1e-10.
+    import scipy.linalg as sla
+
+    n = 6
+    rng = np.random.default_rng(1)
+    terms = []
+    for i in range(n):
+        terms.append(pauli_x(n, i, (i + 1) % n).scaled(rng.uniform(-1, 1)))
+        terms.append(pauli_z(n, i, (i + 2) % n).scaled(rng.uniform(-1, 1)))
+        terms.append(pauli_x(n, i).scaled(rng.uniform(-1, 1)))
+        terms.append(pauli_z(n, i).scaled(rng.uniform(-1, 1)))
+    h = PauliSum.from_terms(terms)
+    mat = np.column_stack([h.apply(col) for col in np.eye(1 << n, dtype=complex)])
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    v /= np.linalg.norm(v)
+    counts = Counter()
+    got = krylov_propagate(h, v, t, counts=counts)
+    assert counts["lanczos_bases"] >= 3
+    assert np.linalg.norm(got - sla.expm(-1j * t * mat) @ v) < 1e-10
+
+
 def test_krylov_energy_conservation():
     n = 6
     rng = np.random.default_rng(21)

@@ -11,6 +11,7 @@ from memstress.effective import SymTridiag
 from memstress.spectral import (
     NumericalError,
     _fix_signs,
+    _persymmetric_split,
     eigh_dense_symmetric,
     eigh_tridiag,
     min_gap,
@@ -110,6 +111,20 @@ def test_persymmetric_alternating_endpoints(seed, M):
     expect = signs[0] * (-1.0) ** np.arange(M)
     assert np.max(np.abs(signs - expect)) < 1e-9
     assert np.max(np.abs(np.abs(s.last_components) - np.abs(s.first_components))) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_persymmetric_split_interlacing_slack(scale):
+    # eigh_tridiag folds only positive couplings.  A negative centre coupling
+    # c swaps the halves of a 2-site chain: the mirror-even half is the site
+    # scale + c, the mirror-odd half scale - c, so the merged pair is out of
+    # order by 2|c|.  The slack is 64 eps max(1, max|lam|).
+    slack = 64.0 * np.finfo(float).eps * scale
+    diag = np.full(2, scale)
+    with pytest.raises(NumericalError, match="interlace"):
+        _persymmetric_split(diag, np.array([-slack]))
+    s = _persymmetric_split(diag, np.array([-0.25 * slack]))
+    assert 0.0 < s.eigenvalues[0] - s.eigenvalues[1] < slack
 
 
 def test_eigenpairs_match_dense_oracle():
