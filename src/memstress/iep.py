@@ -191,18 +191,18 @@ def retune_chain(m: SymTridiag, t: float) -> tuple[SymTridiag, RetunePlan]:
     w = mirror_symmetric_weights(lam)
     if lam.size == 1:
         return reconstruct_jacobi(lam, w), plan
-    if lam.size % 2:
-        fold = reconstruct_jacobi(lam[0::2], 2.0 * w[0::2])
-        diag = np.concatenate([fold.diag, fold.diag[-2::-1]])
-        edge = fold.offdiag.copy()
-        edge[-1] /= np.sqrt(2.0)
-        off = np.concatenate([edge, edge[::-1]])
-    else:
-        fold = reconstruct_jacobi(lam[1::2], 2.0 * w[1::2])
+    e = (lam.size - 1) % 2  # the mirror-even levels, as in spectral._persymmetric_split
+    fold = reconstruct_jacobi(lam[e::2], 2.0 * w[e::2])
+    if e:
         # the trace fixes b_c; a sum of positive neighbour gaps does not cancel
         centre = 0.5 * float(np.sum(lam[1::2] - lam[0::2]))
         half = fold.diag.copy()
         half[-1] -= centre
         diag = np.concatenate([half, half[::-1]])
         off = np.concatenate([fold.offdiag, [centre], fold.offdiag[::-1]])
+    else:
+        diag = np.concatenate([fold.diag, fold.diag[-2::-1]])
+        edge = fold.offdiag.copy()
+        edge[-1] /= np.sqrt(2.0)
+        off = np.concatenate([edge, edge[::-1]])
     return SymTridiag(diag, off), plan

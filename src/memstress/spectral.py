@@ -107,31 +107,25 @@ def _persymmetric_split(diag: np.ndarray, off: np.ndarray) -> SpectralData:
     """
     M = diag.size
     m = M // 2
-    if M % 2 == 0:
-        ds = diag[:m].copy()
+    e = (M - 1) % 2  # mirror-even levels take every other slot counted down from the top
+    ds = diag[: M - m].copy()
+    os_ = off[: M - m - 1].copy()
+    da = diag[:m].copy()
+    if e:
         ds[-1] += off[m - 1]
-        da = diag[:m].copy()
         da[-1] -= off[m - 1]
-        ws, vs = _lapack_tridiag(ds, off[: m - 1].copy())
-        wa, va = _lapack_tridiag(da, off[: m - 1].copy())
     else:
-        ds = diag[: m + 1].copy()
-        os_ = np.concatenate([off[: m - 1], [np.sqrt(2.0) * off[m - 1]]])
-        ws, vs = _lapack_tridiag(ds, os_)
-        wa, va = _lapack_tridiag(diag[:m].copy(), off[: m - 1].copy())
+        os_[-1] *= np.sqrt(2.0)
+    ws, vs = _lapack_tridiag(ds, os_)
+    wa, va = _lapack_tridiag(da, off[: m - 1].copy())
     fs = np.abs(vs[0, :]) / np.sqrt(2.0)
     fa = np.abs(va[0, :]) / np.sqrt(2.0)
     lam = np.empty(M)
     first = np.empty(M)
     last = np.empty(M)
-    if M % 2 == 0:
-        lam[0::2], lam[1::2] = wa, ws
-        first[0::2], first[1::2] = fa, fs
-        last[0::2], last[1::2] = -fa, fs
-    else:
-        lam[0::2], lam[1::2] = ws, wa
-        first[0::2], first[1::2] = fs, fa
-        last[0::2], last[1::2] = fs, -fa
+    lam[e::2], lam[1 - e::2] = ws, wa
+    first[e::2], first[1 - e::2] = fs, fa
+    last[e::2], last[1 - e::2] = fs, -fa
     # strict interlacing can round to exact ties for deeply split pairs
     slack = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(lam))))
     if np.any(np.diff(lam) < -slack):
@@ -233,12 +227,16 @@ def _block_split(diag: np.ndarray, off: np.ndarray, zeros: np.ndarray) -> Spectr
 
 def check_dense_symmetric(a: np.ndarray) -> np.ndarray:
     """The matrix as a float array; ValueError unless square, within
-    ``DENSE_DIM_CAP`` and symmetric to 1e-13."""
+    ``DENSE_DIM_CAP``, finite and symmetric to 1e-13."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if a.shape[0] > DENSE_DIM_CAP:
         raise ValueError(f"dimension {a.shape[0]} exceeds cap {DENSE_DIM_CAP}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"entry ({i}, {j}) is {a[i, j]}; the matrix must be finite")
     if np.max(np.abs(a - a.T), initial=0.0) > 1e-13:
         raise ValueError("matrix is not symmetric to 1e-13")
     return a

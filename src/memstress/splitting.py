@@ -7,11 +7,14 @@ k-banded perturbation).  The splittings shrink below double precision almost
 immediately, so eigenvalues are also computed at extended precision by
 bisection on one band LDL^T inertia count: a tridiagonal chain is
 bandwidth 1, a k-banded perturbation bandwidth k, and a count costs O(M k^2).
-The count and the bisection run on (signed mantissa, exponent) pairs of
-Python ints: each subtraction, product and quotient is formed exactly and
-rounded to nearest, ties to even, at mp.prec bits.  libmp's operators round
-correctly in the same mode and a correctly rounded result is unique, so every
-value equals the mpf one.  Both ranks of a pair bisect from one bracket,
+All of the extended-precision arithmetic runs on (signed mantissa, exponent)
+pairs of Python ints: each float converts exactly, and each subtraction,
+product and quotient is formed exactly and rounded to nearest, ties to even,
+at the prec bits of dps digits.  The rounding and the conversions follow
+mpmath's libmp, which rounds correctly in the same mode, and a correctly
+rounded result is unique, so every value equals the mpf one; the tests keep
+mpmath as the reference, and it is not needed at run time.  Eigenvalues come
+back as exact Fractions.  Both ranks of a pair bisect from one bracket,
 sharing every count until a midpoint falls between their eigenvalues.  A
 bisection's result depends only on its count decisions, so neither changes a
 returned eigenvalue.  The digits are worked out per point: a bisection starts at
@@ -23,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_mul, round_nearest
 
 from .effective import SymTridiag
 from .spectral import (
@@ -95,12 +97,6 @@ def plateau_spectrum(N: int, delta: float) -> np.ndarray:
     return 2.0 * (N + 1) + 2.0 * delta * np.cos(i * math.pi / (P + 1))
 
 
-def _from_libmp(raw) -> tuple[int, int]:
-    """(signed mantissa, exponent) pair of a raw libmp tuple: value mantissa * 2**exponent."""
-    sign, man, exp, _ = raw
-    return (-man if sign else man), exp
-
-
 def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
     """man * 2**exp rounded to prec bits, to nearest with ties to even, as libmp's normalize.
 
@@ -160,7 +156,7 @@ def _canonical(a) -> tuple[int, int]:
     return man >> t, exp + t
 
 
-def _band_inertia(bands, x, tiny) -> int:
+def _band_inertia(bands, x, tiny, prec: int) -> int:
     """Eigenvalues strictly below x: negative pivots of the band LDL^T of T - x.
 
     bands comes from _raw_bands: bands[0] is the diagonal, bands[b] the b-th
@@ -168,7 +164,7 @@ def _band_inertia(bands, x, tiny) -> int:
     outermost one.  Every entry, x and tiny are (signed mantissa, exponent)
     pairs.  Each subtraction, product and quotient is formed exactly in
     integers (the quotient with a sticky bit) and rounded to nearest, ties to
-    even, at mp.mp.prec bits: these are _sub, _mul and _div inlined, and a
+    even, at prec bits: these are _sub, _mul and _div inlined, and a
     correctly rounded result is unique, so every value equals the one the mpf
     operators give.  Elimination without pivoting keeps every fill-in inside
     the band, so the count costs O(M k^2) for bandwidth k; by Sylvester's law
@@ -177,7 +173,6 @@ def _band_inertia(bands, x, tiny) -> int:
     positive one.  The outermost band is never updated, so its squares do not
     depend on x.
     """
-    prec = mp.mp.prec
     m = len(bands[0])
     k = len(bands) - 2
     squares = bands[-1]
@@ -281,16 +276,52 @@ def _band_inertia(bands, x, tiny) -> int:
     return count
 
 
-def _raw_bands(bands):
-    """Float bands as (signed mantissa, exponent) pairs at the working precision.
+def _dps_to_prec(dps: int) -> int:
+    """Bits of a dps-digit working precision, by mpmath's dps_to_prec formula."""
+    return round((dps + 1) * 3.3219280948873626)
 
-    Each float converts exactly through mpf; the squares of the outermost
-    band are appended, formed by mpf_mul at mp.mp.prec once per bisection
-    instead of once per count.
+
+def _from_float(x: float, prec: int) -> tuple[int, int]:
+    """x as a pair rounded at prec bits, as mpf(x) converts it: exactly from 53 bits up."""
+    num, den = float(x).as_integer_ratio()
+    return _round(num, 1 - den.bit_length(), prec)
+
+
+def _inverse_power_of_ten(k: int, prec: int) -> tuple[int, int]:
+    """10^-k, k >= 1, as libmp's mpf(10) ** (-k): 1 / (10^k rounded at prec + 5 bits) at prec.
+
+    At k = 960 and 480 digits that is not the correctly rounded 10^-k.
     """
-    raw = [[mp.mpf(x)._mpf_ for x in band] for band in bands]
-    raw.append([mpf_mul(e, e, mp.mp.prec, round_nearest) for e in raw[-1]])
-    return [[_from_libmp(v) for v in band] for band in raw]
+    return _div((1, 0), _round(10**k, 0, prec + 5), prec)
+
+
+def _gap_float(top: Fraction, bottom: Fraction, prec: int) -> float:
+    """float(mpf(top) - mpf(bottom)) at prec bits, for dyadic top and bottom.
+
+    The difference is rounded at prec bits, as the mpf subtraction rounds
+    it, then at 53 bits and, below the normal range, once more by ldexp, as
+    float(mpf) converts it.
+    """
+    gap = top - bottom
+    man, exp = _round(gap.numerator, 1 - gap.denominator.bit_length(), prec)
+    return math.ldexp(*_round(man, exp, 53))
+
+
+def _raw_bands(bands, prec: int):
+    """Float bands as (signed mantissa, exponent) pairs at prec bits.
+
+    The squares of the outermost band are appended, formed by _mul once per
+    bisection instead of once per count.  Raises ValueError on a NaN or
+    infinite entry, which has no pair.
+    """
+    for b, band in enumerate(bands):
+        bad = np.flatnonzero(~np.isfinite(band))
+        if bad.size:
+            raise ValueError(f"band {b} entry {bad[0]} is {band[bad[0]]}; "
+                             "the bisection needs finite entries")
+    raw = [[_from_float(x, prec) for x in band] for band in bands]
+    raw.append([_mul(v, v, prec) for v in raw[-1]])
+    return raw
 
 
 def _midpoint(lo, hi, prec: int) -> tuple[int, int]:
@@ -309,36 +340,40 @@ def _band_eigenvalue_mp(bands, k: int | tuple[int, ...], scale: float, dps: int)
     every count until a midpoint falls between their eigenvalues, and each
     takes the decisions it would take alone.
     """
+    if dps < 9:
+        raise ValueError(f"dps must be at least 9, got {dps}: below that the "
+                         "bisection tolerance (radius + 1) 10^-(dps-8) can reach the bracket")
     ranks = k if isinstance(k, tuple) else (k,)
-    with mp.workdps(dps):
-        prec = mp.mp.prec
-        bands = _raw_bands(bands)
-        tiny = _from_libmp((mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_)
-        radius = mp.mpf(scale) + 1
-        tol = _from_libmp(((radius + 1) * mp.mpf(10) ** (-(dps - 8)))._mpf_)
-        top = _from_libmp(radius._mpf_)
-        counts: dict[tuple[int, int], int] = {}
-        out = []
-        for rank in ranks:
-            lo, hi = (-top[0], top[1]), top
-            # hi - lo > tol as mpf decides it: rounding keeps the sign of round(hi - lo) - tol
-            while _sub(_sub(hi, lo, prec), tol, prec)[0] > 0:
-                mid = _midpoint(lo, hi, prec)
-                if mid not in counts:
-                    counts[mid] = _band_inertia(bands, mid, tiny)
-                if counts[mid] >= rank + 1:
-                    hi = mid
-                else:
-                    lo = mid
-            out.append(mp.mpf(_midpoint(lo, hi, prec)))
+    prec = _dps_to_prec(dps)
+    bands = _raw_bands(bands, prec)
+    tiny = _inverse_power_of_ten(2 * dps, prec)
+    top = _sub(_from_float(scale, prec), (-1, 0), prec)  # the radius, mpf(scale) + 1
+    tol = _mul(_sub(top, (-1, 0), prec), _inverse_power_of_ten(dps - 8, prec), prec)
+    counts: dict[tuple[int, int], int] = {}
+    out = []
+    for rank in ranks:
+        lo, hi = (-top[0], top[1]), top
+        # hi - lo > tol as mpf decides it: rounding keeps the sign of round(hi - lo) - tol
+        while _sub(_sub(hi, lo, prec), tol, prec)[0] > 0:
+            mid = _midpoint(lo, hi, prec)
+            if mid not in counts:
+                counts[mid] = _band_inertia(bands, mid, tiny, prec)
+            if counts[mid] >= rank + 1:
+                hi = mid
+            else:
+                lo = mid
+        man, exp = _midpoint(lo, hi, prec)
+        out.append(Fraction(man) * Fraction(2) ** exp)
     return tuple(out) if isinstance(k, tuple) else out[0]
 
 
 def tridiag_eigenvalue_mp(m: SymTridiag, k: int | tuple[int, ...], dps: int = DEFAULT_DPS):
     """k-th ascending eigenvalue (0-based) by inertia bisection at dps digits.
 
-    k may also be a tuple of ranks; their eigenvalues come back as a tuple
-    from one shared bisection.
+    The eigenvalue comes back as an exact Fraction, equal to the mpf value
+    the same bisection gives in mpmath.  k may also be a tuple of ranks; their
+    eigenvalues come back as a tuple from one shared bisection.  Raises
+    ValueError below 9 digits or on a NaN or infinite entry.
     """
     return _band_eigenvalue_mp([m.diag, m.offdiag], k, m.norm_estimate(), dps)
 
@@ -347,8 +382,9 @@ def dense_eigenvalue_mp(a: np.ndarray, k: int | tuple[int, ...], dps: int = DEFA
     """k-th ascending eigenvalue of a symmetric matrix, bisected on its band.
 
     The bandwidth is the farthest diagonal holding a nonzero entry; k may be
-    a tuple of ranks, as in tridiag_eigenvalue_mp.  Raises ValueError unless
-    the matrix is square and symmetric to 1e-13.
+    a tuple of ranks, as in tridiag_eigenvalue_mp, and the values are exact
+    Fractions.  Raises ValueError unless the matrix is square, finite and
+    symmetric to 1e-13, and below 9 digits, as tridiag_eigenvalue_mp does.
     """
     a = check_dense_symmetric(a)
     rows, cols = np.nonzero(a)
@@ -384,9 +420,8 @@ def _pair_splitting(matrix, pair: tuple[int, int]) -> tuple[float, int]:
     if gap > DOUBLE_FLOOR * max(scale, 1.0):
         return gap, dps
     while True:
-        with mp.workdps(dps):
-            top, bottom = eigenvalue_mp(matrix, (hi, lo), dps)
-            gap = float(top - bottom)
+        top, bottom = eigenvalue_mp(matrix, (hi, lo), dps)
+        gap = _gap_float(top, bottom, _dps_to_prec(dps))
         if _above_floor(gap, dps) or dps >= MAX_DPS:
             return gap, dps
         dps *= 2

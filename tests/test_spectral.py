@@ -181,6 +181,7 @@ def _mp_endpoints(m, dps=45):
         b = [mp.mpf(x) for x in m.offdiag]
         for k in range(M):
             lam = tridiag_eigenvalue_mp(m, k, dps)
+            lam = mp.mpf(lam.numerator) / lam.denominator  # exact: at most prec bits
             x = [mp.mpf(1), (lam - a[0]) / b[0]]
             for i in range(1, M - 1):
                 x.append(((lam - a[i]) * x[i] - b[i - 1] * x[i - 1]) / b[i])

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,11 +18,15 @@ from memstress.effective import (
     ising_surface_diagonal,
 )
 from memstress.experiments import ExperimentConfig, _delta_ladder, _mirror_symmetric_bands, run
-from memstress.spectral import NumericalError, eigh_tridiag
+from memstress.spectral import (
+    NumericalError,
+    check_dense_symmetric,
+    eigh_dense_symmetric,
+    eigh_tridiag,
+)
 from memstress.splitting import (
     DEFAULT_DPS,
     MAX_DPS,
-    _from_libmp,
     _pair_splitting,
     dense_eigenvalue_mp,
     measure_splitting,
@@ -152,6 +160,17 @@ def test_extended_precision_agrees_with_double():
     assert abs(hi_dense - s.eigenvalues[1]) <= 1e-6
 
 
+def _from_libmp(raw) -> tuple[int, int]:
+    """(signed mantissa, exponent) pair of a finite raw libmp tuple."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _exact(x) -> Fraction:
+    """An mpf as the exact Fraction that the mp eigenvalue functions return."""
+    return _value(_from_libmp(x._mpf_))
+
+
 def _eigsy(a, dps=50):
     with mp.workdps(dps):
         return sorted(mp.eigsy(mp.matrix(a.tolist()), eigvals_only=True))
@@ -175,7 +194,7 @@ def test_dense_eigenvalue_mp_banded_matches_eigsy(k):
     ref = _eigsy(a)
     for rank in (0, 1, a.shape[0] // 2, a.shape[0] - 1):
         got = dense_eigenvalue_mp(a, rank)
-        assert abs(got - ref[rank]) <= mp.mpf("1e-40")
+        assert abs(got - _exact(ref[rank])) <= _exact(mp.mpf("1e-40"))
 
 
 def test_dense_eigenvalue_mp_full_bandwidth_matches_eigsy():
@@ -184,7 +203,7 @@ def test_dense_eigenvalue_mp_full_bandwidth_matches_eigsy():
     a = g + g.T  # bandwidth M - 1: every entry is nonzero
     ref = _eigsy(a)
     for rank in (0, 3, 7):
-        assert abs(dense_eigenvalue_mp(a, rank) - ref[rank]) <= mp.mpf("1e-40")
+        assert abs(dense_eigenvalue_mp(a, rank) - _exact(ref[rank])) <= _exact(mp.mpf("1e-40"))
 
 
 def test_mp_eigenvalue_exact_zero_pivot():
@@ -193,8 +212,8 @@ def test_mp_eigenvalue_exact_zero_pivot():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     chain = SymTridiag(np.zeros(2), np.array([1.0]))
     for rank, want in ((0, -1), (1, 1)):
-        assert abs(dense_eigenvalue_mp(a, rank) - want) <= mp.mpf("1e-40")
-        assert abs(tridiag_eigenvalue_mp(chain, rank) - want) <= mp.mpf("1e-40")
+        assert abs(dense_eigenvalue_mp(a, rank) - want) <= _exact(mp.mpf("1e-40"))
+        assert abs(tridiag_eigenvalue_mp(chain, rank) - want) <= _exact(mp.mpf("1e-40"))
 
 
 def test_dense_eigenvalue_mp_rejects_bad_input():
@@ -204,7 +223,7 @@ def test_dense_eigenvalue_mp_rejects_bad_input():
         dense_eigenvalue_mp(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
     # asymmetry within 1e-13 is accepted, as in eigh_dense_symmetric
     nearly = np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
-    assert abs(dense_eigenvalue_mp(nearly, 1) - 1) <= mp.mpf("1e-12")
+    assert abs(dense_eigenvalue_mp(nearly, 1) - 1) <= _exact(mp.mpf("1e-12"))
 
 
 def test_splitting_shrinks_with_system_size():
@@ -341,14 +360,15 @@ def _reference_tridiag(m, k, dps=DEFAULT_DPS):
     return _reference_eigenvalue([m.diag, m.offdiag], k, m.norm_estimate(), dps)
 
 
-@pytest.mark.parametrize("dps", [DEFAULT_DPS, 2 * DEFAULT_DPS])
+# 9 and 14 digits keep fewer than 53 bits, so the floats are rounded on the way in
+@pytest.mark.parametrize("dps", [9, 14, DEFAULT_DPS, 2 * DEFAULT_DPS])
 def test_tridiag_eigenvalues_equal_mpf_reference(dps):
     m = ising_effective_surface(4, 0.1)
     ranks = (0, 1, m.dim // 2, m.dim - 1)
     for rank in ranks:
-        assert tridiag_eigenvalue_mp(m, rank, dps) == _reference_tridiag(m, rank, dps)
+        assert tridiag_eigenvalue_mp(m, rank, dps) == _exact(_reference_tridiag(m, rank, dps))
     assert tridiag_eigenvalue_mp(m, ranks, dps) == tuple(
-        _reference_tridiag(m, rank, dps) for rank in ranks)
+        _exact(_reference_tridiag(m, rank, dps)) for rank in ranks)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -357,8 +377,8 @@ def test_banded_eigenvalues_equal_mpf_reference(k):
     assert len(_dense_bands(a)[0]) == k + 1
     ranks = (0, 1, a.shape[0] // 2, a.shape[0] - 1)
     for rank in ranks:
-        assert dense_eigenvalue_mp(a, rank) == _reference_dense(a, rank)
-    assert dense_eigenvalue_mp(a, ranks) == tuple(_reference_dense(a, r) for r in ranks)
+        assert dense_eigenvalue_mp(a, rank) == _exact(_reference_dense(a, rank))
+    assert dense_eigenvalue_mp(a, ranks) == tuple(_exact(_reference_dense(a, r)) for r in ranks)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -379,12 +399,12 @@ def test_counts_equal_mpf_reference_at_random_mids(k):
             tiny = mp.mpf(10) ** (-2 * mp.mp.dps)
             for float_bands, mids in cases:
                 ref_bands = [[mp.mpf(x) for x in band] for band in float_bands]
-                raw = splitting._raw_bands(float_bands)
+                raw = splitting._raw_bands(float_bands, mp.mp.prec)
                 for x in mids:
                     x = mp.mpf(x)
                     want = _reference_inertia(ref_bands, x, zero_pivots)
                     assert splitting._band_inertia(raw, _from_libmp(x._mpf_),
-                                                   _from_libmp(tiny._mpf_)) == want
+                                                   _from_libmp(tiny._mpf_), mp.mp.prec) == want
                     checked += 1
     assert checked >= 1000
     assert len(zero_pivots) >= 20
@@ -494,7 +514,7 @@ def test_every_pivot_equals_the_mpf_pivot(k):
                         for rows, want in ((1, below), (2, below + 1)):
                             probe = _pivot_probe(ref_bands, r, pivot, x, rows)
                             assert _reference_inertia(probe, x) == want
-                            got = splitting._band_inertia(_inline_bands(probe), x_pair, tiny)
+                            got = splitting._band_inertia(_inline_bands(probe), x_pair, tiny, prec)
                             assert got == want, (dps, x, r)
                         probed += 1
     assert probed >= 4 * 2 * 8 * m * 3 // 4
@@ -514,11 +534,12 @@ def test_outer_band_squares_keep_every_count(k):
             with mp.workdps(dps):
                 tiny = (mp.mpf(10) ** (-2 * mp.mp.dps))._mpf_
                 for float_bands, mids in cases:
-                    raw = splitting._raw_bands(float_bands)
+                    raw = splitting._raw_bands(float_bands, mp.mp.prec)
                     former = [[mp.mpf(x)._mpf_ for x in band] for band in float_bands]
                     for x in mids:
                         x = mp.mpf(x)._mpf_
-                        assert splitting._band_inertia(raw, _from_libmp(x), _from_libmp(tiny)) == \
+                        assert splitting._band_inertia(raw, _from_libmp(x), _from_libmp(tiny),
+                                                       mp.mp.prec) == \
                             _former_band_inertia(former, x, tiny)
                         checked += 1
     assert checked == 3 * 2 * 2 * 200
@@ -527,12 +548,12 @@ def test_outer_band_squares_keep_every_count(k):
 def test_tied_pair_equals_mpf_reference():
     # the zero-coupling family: both ranks sit on the same eigenvalue
     chain = SymTridiag(np.zeros(2), np.array([0.0]))
-    want = tuple(_reference_tridiag(chain, rank) for rank in (1, 0))
+    want = tuple(_exact(_reference_tridiag(chain, rank)) for rank in (1, 0))
     assert want[0] == want[1]
     assert tridiag_eigenvalue_mp(chain, (1, 0)) == want
     a = np.diag([4.0, 6.0, 6.0, 4.0])
     for pair in ((0, 1), (2, 3)):
-        assert dense_eigenvalue_mp(a, pair) == tuple(_reference_dense(a, r) for r in pair)
+        assert dense_eigenvalue_mp(a, pair) == tuple(_exact(_reference_dense(a, r)) for r in pair)
 
 
 def _counted(monkeypatch):
@@ -646,3 +667,139 @@ def test_integer_operations_equal_libmp(dps):
     assert {"exact", "tie-down", "tie-up", "inexact"} <= kinds["mul"]
     assert {"exact", "inexact"} <= kinds["div"]
     assert perturbed == {True, False}
+
+
+def test_dps_to_prec_equals_workdps():
+    for dps in range(1, 1001):
+        with mp.workdps(dps):
+            assert splitting._dps_to_prec(dps) == mp.mp.prec, dps
+
+
+def test_inverse_power_of_ten_equals_mpf_power():
+    # tiny = 10^-(2 dps) and the tolerance's 10^-(dps-8), at every accepted dps up to 1000
+    for dps in range(9, 1001):
+        with mp.workdps(dps):
+            for k in (2 * dps, dps - 8):
+                got = splitting._canonical(splitting._inverse_power_of_ten(k, mp.mp.prec))
+                assert got == _from_libmp((mp.mpf(10) ** (-k))._mpf_), (dps, k)
+    # libmp's 10^-960 at 480 digits is not the correctly rounded value; the pair follows libmp
+    prec = splitting._dps_to_prec(480)
+    rounded = splitting._div((1, 0), (10**960, 0), prec)
+    assert _value(splitting._inverse_power_of_ten(960, prec)) != _value(rounded)
+
+
+@pytest.mark.parametrize("dps", [-1, 0, 1, 8])
+def test_mp_eigenvalues_reject_too_few_digits(dps):
+    chain = SymTridiag(np.zeros(2), np.array([1.0]))
+    with pytest.raises(ValueError, match="at least 9"):
+        tridiag_eigenvalue_mp(chain, 0, dps)
+    with pytest.raises(ValueError, match="at least 9"):
+        dense_eigenvalue_mp(chain.dense(), (1, 0), dps)
+
+
+def test_float_conversion_equals_mpf():
+    sub = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, sub, -sub, 3 * sub, np.finfo(float).tiny / 3, np.finfo(float).tiny,
+              1.0, -7.0, 2.0**60 + 2.0**8, 12345678901234567.0, -0.1, 1 / 3, 1e300,
+              -np.finfo(float).max, np.float64(0.7)]
+    for dps in (9, 14, 15, DEFAULT_DPS, MAX_DPS):
+        with mp.workdps(dps):
+            for x in values:
+                got = splitting._from_float(x, mp.mp.prec)
+                assert splitting._canonical(got) == _from_libmp(mp.mpf(x)._mpf_), (dps, x)
+
+
+def _gap_cases(prec, rng):
+    """(top, bottom) pairs of at most prec bits: 53-bit ties, a prec-bit tie that
+    turns into a 53-bit tie, subnormal differences and random ones."""
+    cases = []
+    for low in (1, 3):  # 2^53 + 1 rounds down to even, 2^53 + 3 up
+        cases += [(((1 << 53) + low, -9), (0, 0)), ((0, 0), ((1 << 53) + low, 40))]
+    # d = (2^53 + 1) 2^(prec-53) + 1 ties at prec bits down to a 53-bit tie, which
+    # rounds to even again; rounded once it would round up
+    top = ((1 << 53) + 1 << (prec - 53)) + 2
+    cases += [((top, -prec), (1, -prec)), ((1, 5 - prec), (top, 5 - prec))]
+    for k in range(8):  # (2k + 1) 2^-1075: ties between subnormals
+        cases.append(((2 * k + 1, -1075), (0, 0)))
+    for _ in range(300):
+        man = rng.getrandbits(prec) | 1 << (prec - 1)
+        exp = rng.randint(-1074 - prec - 20, -1022 - prec + 10)
+        near = man + rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, prec))
+        cases.append(((man, exp), (near, exp)))
+        cases.append(((man, exp), (rng.getrandbits(prec), exp - rng.randint(0, 2 * prec))))
+        cases.append(((-man, rng.randint(-prec - 60, 60 - prec)), (rng.getrandbits(prec), -prec)))
+    return cases
+
+
+@pytest.mark.parametrize("dps", [DEFAULT_DPS, 2 * DEFAULT_DPS, MAX_DPS])
+def test_gap_float_equals_float_of_mpf_difference(dps):
+    rng = random.Random(dps)
+    prec = splitting._dps_to_prec(dps)
+    twice_rounded = subnormal = 0
+    for top, bottom in _gap_cases(prec, rng):
+        with mp.workprec(prec):
+            want = float(mp.mpf(top) - mp.mpf(bottom))
+        got = splitting._gap_float(_value(top), _value(bottom), prec)
+        assert got == want, (top, bottom)
+        twice_rounded += got != float(_value(top) - _value(bottom))
+        subnormal += 0.0 < abs(got) < np.finfo(float).tiny
+    assert twice_rounded >= 2
+    assert subnormal >= 100
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    for diag, off, where in (([1.0, bad, 3.0], [0.5, 0.5], "band 0 entry 1"),
+                             ([1.0, 2.0, 3.0], [0.5, bad], "band 1 entry 1")):
+        chain = SymTridiag(np.array(diag), np.array(off))
+        for rank in (0, (1, 0)):
+            with pytest.raises(ValueError, match=where):
+                tridiag_eigenvalue_mp(chain, rank)
+    for a, where in (([[bad, 0.5], [0.5, 1.0]], r"entry \(0, 0\)"),
+                     ([[1.0, bad], [bad, 1.0]], r"entry \(0, 1\)")):
+        a = np.array(a)
+        for rank in (0, 1, (1, 0)):
+            with pytest.raises(ValueError, match=where):
+                dense_eigenvalue_mp(a, rank)
+        for check in (check_dense_symmetric, eigh_dense_symmetric):
+            with pytest.raises(ValueError, match=where):
+                check(a)
+
+    def entry(d):
+        return bad if d > 0.0 else 0.0
+
+    families = (
+        lambda d: SymTridiag(np.array([0.0, entry(d)]), np.array([d])),
+        lambda d: SymTridiag(np.zeros(2), np.array([entry(d)])),
+        lambda d: np.array([[entry(d), d], [d, 0.0]]),
+        lambda d: np.array([[0.0, entry(d)], [entry(d), 0.0]]),
+    )
+    for family in families:
+        with pytest.raises(ValueError):
+            measure_splitting(family, (0, 1), np.logspace(-2, -1, 6))
+
+
+def test_splitting_runs_without_mpmath(tmp_path):
+    # ising-splitting at N = 3 stays above the double floor, so the mp entry
+    # points and the escalation are called directly as well
+    code = f"""
+import sys
+import numpy as np
+from memstress.effective import ising_effective_surface
+from memstress.experiments import ExperimentConfig, run
+from memstress.splitting import _pair_splitting, dense_eigenvalue_mp, tridiag_eigenvalue_mp
+
+assert run(ExperimentConfig(experiment="ising-splitting", N_range=[3],
+                            output_dir={str(tmp_path)!r})) == 0
+m = ising_effective_surface(4, 1e-5)
+assert tridiag_eigenvalue_mp(m, (1, 0)) == dense_eigenvalue_mp(m.dense(), (1, 0))
+assert _pair_splitting(m, (0, 1))[1] == 120
+assert "mpmath" not in sys.modules, "mpmath was imported"
+"""
+    src = str(Path(splitting.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ising_splitting.csv").exists()

@@ -129,6 +129,33 @@ def test_measure_transfer_time_validation():
         measure_transfer_time(s, threshold=0.5, t_max=0.0)
 
 
+def test_coarse_grid_scan_keeps_its_contract(monkeypatch):
+    # at the default oversample F is resolved between grid points, so the
+    # Lipschitz reach hardly decides which windows are searched; at 0.25 it
+    # does.  The contract is the docstring's: the crossing found lies at most
+    # w_min after the first time F reaches threshold + lip w_min / 2, and F
+    # reaches the threshold there.
+    coarse = transfer.time_grid
+    monkeypatch.setattr(transfer, "time_grid",
+                        lambda s, t_max, oversample=0.25: coarse(s, t_max, oversample))
+    rng = np.random.default_rng(2)
+    for _ in range(80):
+        N = int(rng.integers(5, 40))
+        couplings = christandl_couplings(N) * (1.0 + 0.03 * rng.standard_normal(N - 2))
+        s = eigh_tridiag(SymTridiag(np.zeros(N - 1), couplings))
+        threshold = float(rng.uniform(0.3, 0.95))
+        t_max = 1.5 * np.pi * (N - 1) / 4
+        res = measure_transfer_time(s, threshold, t_max)
+        lip = _reference_lipschitz(s)
+        w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max)
+        end = res.transfer_time if res.reached else t_max
+        fine = np.linspace(0.0, end, 20001)
+        early = fine[fidelity_trace(s, fine) >= threshold + lip * w_min / 2]
+        assert early.size == 0 or early[0] >= end - w_min, (N, threshold, early[0], end)
+        if res.reached:
+            assert fidelity(s, res.transfer_time) >= threshold
+
+
 def test_mirror_period_returns_to_start():
     N = 9
     s = eigh_tridiag(christandl_chain(N, delta=0.1))
