@@ -116,9 +116,12 @@ def _persymmetric_split(diag: np.ndarray, off: np.ndarray) -> SpectralData:
         da[-1] -= off[m - 1]
     else:
         os_[-1] *= np.sqrt(2.0)
+    # only the first row of each half's eigenvectors is kept, so the even
+    # half's vectors are freed before the odd half is solved
     ws, vs = _lapack_tridiag(ds, os_)
-    wa, va = _lapack_tridiag(da, off[: m - 1].copy())
     fs = np.abs(vs[0, :]) / np.sqrt(2.0)
+    del vs
+    wa, va = _lapack_tridiag(da, off[: m - 1].copy())
     fa = np.abs(va[0, :]) / np.sqrt(2.0)
     lam = np.empty(M)
     first = np.empty(M)
@@ -134,9 +137,17 @@ def _persymmetric_split(diag: np.ndarray, off: np.ndarray) -> SpectralData:
 
 
 def eigh_tridiag(m: SymTridiag) -> SpectralData:
-    """Eigenvalues (ascending) and endpoint components of a SymTridiag."""
+    """Eigenvalues (ascending) and endpoint components of a SymTridiag.
+
+    Raises ValueError on a NaN or infinite entry, whichever path it takes.
+    """
     diag = m.diag
     off = m.offdiag
+    for name, entries in (("diagonal", diag), ("off-diagonal", off)):
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            raise ValueError(f"{name} entry {bad[0]} is {entries[bad[0]]}; "
+                             "the chain must be finite")
     M = m.dim
     if M == 1:
         one = np.ones(1)

@@ -58,6 +58,18 @@ def test_single_site():
     assert s.first_components[0] == 1.0 == s.last_components[0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_chains_are_rejected(bad):
+    # the one-site path, the folded two-site path and LAPACK's path
+    for diag, off, where in (([bad], [], "diagonal entry 0"),
+                             ([0.0, 0.0], [bad], "off-diagonal entry 0"),
+                             ([bad, 0.0], [1.0], "diagonal entry 0"),
+                             ([1.0, 2.0, 3.0], [0.5, bad], "off-diagonal entry 1"),
+                             ([1.0, bad, 3.0], [0.5, 0.5], "diagonal entry 1")):
+        with pytest.raises(ValueError, match=where):
+            eigh_tridiag(SymTridiag(np.array(diag), np.array(off)))
+
+
 def test_uniform_chain_closed_form():
     M = 5
     s = eigh_tridiag(SymTridiag(np.zeros(M), np.full(M - 1, 0.5)))
@@ -181,7 +193,7 @@ def _mp_endpoints(m, dps=45):
         b = [mp.mpf(x) for x in m.offdiag]
         for k in range(M):
             lam = tridiag_eigenvalue_mp(m, k, dps)
-            lam = mp.mpf(lam.numerator) / lam.denominator  # exact: at most prec bits
+            lam = mp.mpf(str(lam))  # 45 digits, rounded at the working precision
             x = [mp.mpf(1), (lam - a[0]) / b[0]]
             for i in range(1, M - 1):
                 x.append(((lam - a[i]) * x[i] - b[i - 1] * x[i - 1]) / b[i])

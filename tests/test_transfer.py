@@ -468,6 +468,13 @@ def test_screen_error_is_within_its_bound(N):
             g, eps = _screen(s, times)
             err = float(np.max(np.abs(g - fidelity_trace(s, times))))
             assert err <= eps < 1e-8
+    # on a grid of dyadic steps the screen's split is exact, so its drift
+    # term is 0 and eps is the rounding allowance alone
+    s = toric_christandl(N)
+    for t0 in (0.0, 1e5, 1e6):
+        times = t0 + 0.25 * np.arange(4096)
+        g, eps = _screen(s, times)
+        assert float(np.max(np.abs(g - fidelity_trace(s, times)))) <= eps
     rng = np.random.default_rng(N)
     s = eigh_tridiag(SymTridiag(rng.uniform(-0.3, 0.3, N), rng.uniform(0.4, 1.0, N - 1)))
     times = time_grid(s, 40.0)
