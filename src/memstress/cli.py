@@ -17,6 +17,7 @@ import sys
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file, run
 from .spectral import NumericalError
 
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memstress", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

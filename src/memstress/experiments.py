@@ -159,6 +159,12 @@ def _uniform_chain(N: int, delta: float) -> SymTridiag:
     return toric_effective(N, 1.0, delta, np.full(N - 2, 0.5), np.zeros(N - 1))
 
 
+def _christandl_chain(N: int, delta: float) -> tuple[SymTridiag, float]:
+    """The Christandl-coupled toric chain and its first mirror time."""
+    chain = toric_effective(N, 1.0, delta, christandl_couplings(N), np.zeros(N - 1))
+    return chain, np.pi * (N - 1) / (4.0 * delta)
+
+
 def _fit_slope(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
@@ -181,11 +187,8 @@ def exp_toric_scaling(cfg: ExperimentConfig) -> Outcome:
     for N in cfg.N_range:
         s_uniform = eigh_tridiag(_uniform_chain(N, cfg.delta))
         gap = min_gap(s_uniform)
-        s_c = eigh_tridiag(
-            toric_effective(N, 1.0, cfg.delta, christandl_couplings(N), np.zeros(N - 1))
-        )
-        t_expect = np.pi * (N - 1) / (4.0 * cfg.delta)
-        res = measure_transfer_time(s_c, cfg.threshold, 1.5 * t_expect)
+        chain, t_expect = _christandl_chain(N, cfg.delta)
+        res = measure_transfer_time(eigh_tridiag(chain), cfg.threshold, 1.5 * t_expect)
         if not res.reached:
             raise NumericalError(f"transfer threshold never reached at N={N}")
         gaps.append(gap)
@@ -248,10 +251,8 @@ def exp_toric_transfer(cfg: ExperimentConfig) -> Outcome:
     worst = 1.0
     trace_rows: list[tuple] = []
     for N in cfg.N_range:
-        s = eigh_tridiag(
-            toric_effective(N, 1.0, cfg.delta, christandl_couplings(N), np.zeros(N - 1))
-        )
-        t_expect = np.pi * (N - 1) / (4.0 * cfg.delta)
+        chain, t_expect = _christandl_chain(N, cfg.delta)
+        s = eigh_tridiag(chain)
         t_star, f_star = locate_fidelity_peak(s, 1.5 * t_expect)
         worst = min(worst, f_star)
         rows.append((N, t_star, f_star))
@@ -498,7 +499,7 @@ def exp_two_excitation(cfg: ExperimentConfig) -> Outcome:
     delta = cfg.delta
     J = christandl_couplings(N)
     dH = toric_perturbation(lat, J, np.zeros(N - 1), delta)
-    t_star = np.pi * (N - 1) / (4.0 * delta)  # the chain's mirror time
+    t_star = _christandl_chain(N, delta)[1]
     times = [float(t) for t in np.linspace(0.0, t_star, 9)]
     counts = Counter()
     rows = list(zip(times, two_excitation_transfer(lat, 1, times, dH, counts=counts)))

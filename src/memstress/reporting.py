@@ -71,8 +71,6 @@ def write_svg_plot(
     height: int = 420,
 ) -> None:
     """Minimal static polyline plot; no external plotting dependency."""
-    import math
-
     xs = [math.log10(x) if logx else float(x) for x in xs]
     ys = [math.log10(y) if logy else float(y) for y in ys]
     if not xs:

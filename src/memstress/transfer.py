@@ -15,7 +15,10 @@ grid value to within an a-priori bound eps.  Exact values are formed only at
 the grid points whose decisions the screen cannot prove, each at most once,
 so every value that decides a branch has fidelity_trace's bits and each scan
 returns what it would return on the full exact trace.  The golden sections
-of a peak search run in lockstep, one fidelity_trace call per step.
+of a peak search run in lockstep, one fidelity_trace call per step.  The
+peak returned is the earliest time of the best value, and the grid best wins
+ties against refined windows, so on a mirror-symmetric chain it is the first
+mirror time, not a later revival.
 """
 
 from __future__ import annotations
@@ -253,14 +256,14 @@ def _window_crossing(s: SpectralData, threshold: float, lip: float, w_min: float
 
 
 def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
-    """Best (t*, F(t*)) over [0, t_max].
+    """Earliest (t*, F(t*)) of the best value found over [0, t_max].
 
-    Every base-grid window whose Lipschitz bound could beat the current best
-    is refined by golden-section search; the best refined value wins.
-    Windows are visited by decreasing F(a) + F(b), and only the grid points
-    and windows the screen cannot rule out get exact values.  The golden
-    sections of all windows that beat the grid maximum run in lockstep
-    first; the visit then replays over their results.
+    The grid best is the first grid point at the grid maximum.  Every
+    base-grid window whose Lipschitz bound beats that maximum is refined by
+    golden-section search.  If a refined value exceeds the grid best, the
+    earliest window at the largest refined value wins; on a tie the grid
+    best stays.  Only the grid points and windows the screen cannot rule out
+    get exact values, and the golden sections run in lockstep.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
@@ -274,32 +277,13 @@ def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
     scan.exact(np.concatenate([points, windows, windows + 1]))
     f = scan.values
     best = points[np.argmax(f[points])]
-    best_t, best_f = float(times[best]), float(f[best])
-    order = _visit_order(scan, windows)
-    bounds = 0.5 * (f[order] + f[order + 1]) + lip * (times[order + 1] - times[order]) * 0.5
-    keep = bounds > best_f
-    refine = order[keep]
+    bounds = 0.5 * (f[windows] + f[windows + 1]) + lip * np.diff(times)[windows] * 0.5
+    refine = windows[bounds > f[best]]
     t_ref, f_ref = _golden_sections(s, times[refine], times[refine + 1])
-    for t, fk, bound in zip(t_ref.tolist(), f_ref.tolist(), bounds[keep]):
-        if bound <= best_f:
-            continue
-        if fk > best_f:
-            best_t, best_f = t, fk
-    return best_t, best_f
-
-
-def _visit_order(scan: _ScanValues, windows: np.ndarray) -> np.ndarray:
-    """windows by decreasing exact F(a) + F(b), as argsort orders the full grid.
-
-    argsort is not stable, so when two of the keys are equal the order is
-    taken from a sort of the full exact trace.
-    """
-    keys = scan.exact(windows) + scan.exact(windows + 1)
-    if np.unique(keys).size == keys.size:
-        return windows[np.argsort(keys)[::-1]]
-    full = scan.exact(np.arange(scan.times.size))
-    order = np.argsort(full[:-1] + full[1:])[::-1]
-    return order[np.isin(order, windows)]
+    if f_ref.size and f_ref.max() > f[best]:
+        k = np.argmax(f_ref)
+        return float(t_ref[k]), float(f_ref[k])
+    return float(times[best]), float(f[best])
 
 
 def _golden_sections(s: SpectralData, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from memstress.transfer import (
     _golden_sections,
     _ScanValues,
     _screen,
-    _visit_order,
     christandl_couplings,
     f_max,
     fidelity,
@@ -129,12 +128,25 @@ def test_measure_transfer_time_validation():
         measure_transfer_time(s, threshold=0.5, t_max=0.0)
 
 
+def assert_scan_contract(s, threshold, t_max):
+    # the docstring's contract: the crossing found lies at most w_min after
+    # the first time F reaches threshold + lip w_min / 2, and F reaches the
+    # threshold there
+    res = measure_transfer_time(s, threshold, t_max)
+    lip = _reference_lipschitz(s)
+    w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max)
+    end = res.transfer_time if res.reached else t_max
+    fine = np.linspace(0.0, end, 20001)
+    early = fine[fidelity_trace(s, fine) >= threshold + lip * w_min / 2]
+    assert early.size == 0 or early[0] >= end - w_min, (threshold, early[0], end)
+    if res.reached:
+        assert fidelity(s, res.transfer_time) >= threshold
+
+
 def test_coarse_grid_scan_keeps_its_contract(monkeypatch):
     # at the default oversample F is resolved between grid points, so the
-    # Lipschitz reach hardly decides which windows are searched; at 0.25 it
-    # does.  The contract is the docstring's: the crossing found lies at most
-    # w_min after the first time F reaches threshold + lip w_min / 2, and F
-    # reaches the threshold there.
+    # Lipschitz reach and w_min hardly decide which windows are searched; at
+    # 0.25 they do
     coarse = transfer.time_grid
     monkeypatch.setattr(transfer, "time_grid",
                         lambda s, t_max, oversample=0.25: coarse(s, t_max, oversample))
@@ -143,17 +155,16 @@ def test_coarse_grid_scan_keeps_its_contract(monkeypatch):
         N = int(rng.integers(5, 40))
         couplings = christandl_couplings(N) * (1.0 + 0.03 * rng.standard_normal(N - 2))
         s = eigh_tridiag(SymTridiag(np.zeros(N - 1), couplings))
-        threshold = float(rng.uniform(0.3, 0.95))
-        t_max = 1.5 * np.pi * (N - 1) / 4
-        res = measure_transfer_time(s, threshold, t_max)
-        lip = _reference_lipschitz(s)
-        w_min = max((1.0 - threshold) / (4.0 * lip), 1e-12 * t_max)
-        end = res.transfer_time if res.reached else t_max
-        fine = np.linspace(0.0, end, 20001)
-        early = fine[fidelity_trace(s, fine) >= threshold + lip * w_min / 2]
-        assert early.size == 0 or early[0] >= end - w_min, (N, threshold, early[0], end)
-        if res.reached:
-            assert fidelity(s, res.transfer_time) >= threshold
+        assert_scan_contract(s, float(rng.uniform(0.3, 0.95)), 1.5 * np.pi * (N - 1) / 4)
+    # the detuned pair F(t) = |sin(omega t)| / omega, omega = hypot(1, eps),
+    # first peaks at F_peak = 1 / omega; threshold 2 F_peak - 1 puts that
+    # peak (1 - threshold) / 2 above it, four times the allowance lip w_min / 2
+    # (lip = 1), so a scan that stops splitting at a wider window misses it
+    for eps in np.linspace(0.9, 1.4, 11):
+        s = eigh_tridiag(SymTridiag(np.array([eps, -eps]), np.array([1.0])))
+        omega = math.hypot(1.0, eps)
+        for periods in (2.3, 3.7, 5.1, 7.3):
+            assert_scan_contract(s, 2.0 / omega - 1.0, periods * np.pi / omega)
 
 
 def test_mirror_period_returns_to_start():
@@ -325,15 +336,17 @@ def _reference_measure_transfer_time(s, threshold, t_max):
 
 
 def _reference_locate_fidelity_peak(s, t_max):
+    # windows in time order, each refined when its bound beats the grid
+    # maximum; a strict > keeps the earliest of equal maxima, and the grid
+    # best on a tie with a window
     times = time_grid(s, t_max, oversample=8.0)
     fids = reference_trace(s, times)
     lip = _reference_lipschitz(s)
-    order = np.argsort(fids[:-1] + fids[1:])[::-1]
     best_t = float(times[np.argmax(fids)])
-    best_f = float(np.max(fids))
-    for k in order:
+    best_f = grid_f = float(np.max(fids))
+    for k in range(times.size - 1):
         a, b = float(times[k]), float(times[k + 1])
-        if 0.5 * (fids[k] + fids[k + 1]) + lip * (b - a) * 0.5 <= best_f:
+        if 0.5 * (fids[k] + fids[k + 1]) + lip * (b - a) * 0.5 <= grid_f:
             continue
         t, f = _reference_golden_section(s, a, b)
         if f > best_f:
@@ -392,24 +405,29 @@ def test_scans_match_reference_on_criterion_1_chains():
 
 
 @pytest.mark.parametrize("M", [6, 16, 21])
-def test_peak_ties_fall_back_to_full_order(M):
-    # two candidate windows near the peak have equal exact keys F(a) + F(b);
-    # a sort of the candidates alone orders them differently at M = 16, 21
+def test_peak_key_ties_match_reference(M):
+    # two candidate windows near the peak have equal exact F(a) + F(b)
     s = eigh_tridiag(SymTridiag(np.zeros(M), christandl_couplings(M + 1)))
     t_max = 1.3 * np.pi * M / 4.0
     times = time_grid(s, t_max, oversample=8.0)
     fids = reference_trace(s, times)
-    keys = fids[:-1] + fids[1:]
-    bound = 0.5 * keys + _reference_lipschitz(s) * np.diff(times) * 0.5
+    bound = 0.5 * (fids[:-1] + fids[1:]) + _reference_lipschitz(s) * np.diff(times) * 0.5
     windows = np.flatnonzero(bound >= fids.max())
-    scan = _ScanValues(s, times)
-    window_keys = scan.exact(windows) + scan.exact(windows + 1)
-    assert window_keys.tobytes() == keys[windows].tobytes()
+    window_keys = fids[windows] + fids[windows + 1]
     assert np.unique(window_keys).size < windows.size
-    full_order = np.argsort(keys)[::-1]
-    expected = full_order[np.isin(full_order, windows)]
-    assert list(_visit_order(_ScanValues(s, times), windows)) == list(expected)
     assert locate_fidelity_peak(s, t_max) == _reference_locate_fidelity_peak(s, t_max)
+
+
+@pytest.mark.parametrize("M", [3, 9, 23])
+def test_peak_is_the_first_mirror_time(M):
+    # the scan reaches the revivals at 3 t* and 5 t*, whose peak values tie
+    # the first mirror time's; the earliest maximum is t* itself
+    s = eigh_tridiag(SymTridiag(np.zeros(M), christandl_couplings(M + 1)))
+    t_star = np.pi * M / 4.0
+    t, f = locate_fidelity_peak(s, 5.5 * t_star)
+    assert t == pytest.approx(t_star, rel=1e-6)
+    assert f >= 1.0 - 1e-9
+    assert (t, f) == _reference_locate_fidelity_peak(s, 5.5 * t_star)
 
 
 @pytest.mark.parametrize("seed", range(6))
