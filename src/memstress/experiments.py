@@ -52,7 +52,7 @@ from .oracle import (
 )
 from .pauli import apply_to_state
 from .reporting import write_csv, write_json, write_svg_plot
-from .spectral import NumericalError, eigh_tridiag, min_gap
+from .spectral import EIGENSOLVER, NumericalError, eigh_tridiag, min_gap
 from .splitting import measure_splitting, plateau_spectrum, predicted_order
 from .transfer import (
     christandl_couplings,
@@ -669,6 +669,7 @@ def run(cfg: ExperimentConfig) -> int:
         "config": asdict(cfg),
         "version": __version__,
         "wall_clock_seconds": time.time() - started,
+        "eigensolver": EIGENSOLVER,
         "checks": [asdict(c) for c in outcome.checks],
         "summary": outcome.summary,
         "all_passed": all_passed,

@@ -1,5 +1,13 @@
 """Full-spectrum eigensolvers for the string chains.
 
+Every tridiagonal solve runs LAPACK's divide-and-conquer ``dstevd``.  numpy's
+wheels bundle an ILP64 OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``)
+that exports it as ``scipy_dstevd_64_``; it is bound once at import through
+ctypes, so the runtime needs numpy alone.  Where that library or symbol is
+absent (numpy on MKL or on a system BLAS), ``scipy.linalg.eigh_tridiagonal``,
+which runs ``dstevd`` too, is imported on first use instead.  ``EIGENSOLVER``
+names the path taken.
+
 Three paths feed one result type:
 
 * unreduced generic tridiagonals go to LAPACK, whose eigenvectors are only
@@ -23,16 +31,18 @@ alternating endpoint relation reads ``last = (-1)^(M-1-i) * first``).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from .effective import SymTridiag
 
 __all__ = [
     "SpectralData",
     "NumericalError",
+    "EIGENSOLVER",
     "eigh_tridiag",
     "eigh_dense_symmetric",
     "check_dense_symmetric",
@@ -47,6 +57,28 @@ ENDPOINT_WEIGHT_FLOOR = 1e-10
 
 class NumericalError(RuntimeError):
     """An eigensolve or reconstruction failed to converge or broke down."""
+
+
+def _bundled_dstevd():
+    """LAPACK dstevd from the OpenBLAS that numpy bundles, or None if absent.
+
+    numpy has already loaded that library, so binding it loads nothing new.
+    Its integers are 64-bit, and a hidden size_t length follows JOBZ.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            routine = ctypes.CDLL(str(path)).scipy_dstevd_64_
+        except (OSError, AttributeError):
+            continue
+        routine.restype = None
+        routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+        return routine
+    return None
+
+
+_DSTEVD = _bundled_dstevd()
+EIGENSOLVER = "numpy-openblas dstevd" if _DSTEVD is not None else "scipy eigh_tridiagonal"
 
 
 @dataclass(frozen=True)
@@ -86,14 +118,39 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def _lapack_tridiag(diag: np.ndarray, off: np.ndarray):
-    if diag.size == 1:
+    n = diag.size
+    if off.shape != (n - 1,):  # dstevd reads n - 1 couplings through a raw pointer
+        raise ValueError(f"need {n - 1} couplings for dim {n}, got shape {off.shape}")
+    # a fold can overflow a finite chain, and dstevd turns inf into NaN silently
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NumericalError(f"tridiagonal eigensolve got a non-finite entry for dim {n}")
+    if n == 1:
         return diag.copy(), np.ones((1, 1))
-    try:
-        w, v = sla.eigh_tridiagonal(diag, off)
-    except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
+    if _DSTEVD is None:
+        import scipy.linalg as sla
+
+        try:
+            w, v = sla.eigh_tridiagonal(diag, off)
+        except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(
+                f"tridiagonal eigensolve failed for dim {n}: {exc}"
+            ) from exc
+        return w, _fix_signs(v)
+    # dstevd overwrites d with the eigenvalues and destroys e; the workspace
+    # sizes are the ones scipy's wrapper passes
+    w = np.array(diag, dtype=float)
+    e = np.array(off, dtype=float)
+    v = np.empty((n, n), order="F")
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    dim, lwork, liwork, info = (ctypes.c_int64(k) for k in (n, work.size, iwork.size, 0))
+    _DSTEVD(b"V", ctypes.byref(dim), w.ctypes.data, e.ctypes.data, v.ctypes.data,
+            ctypes.byref(dim), work.ctypes.data, ctypes.byref(lwork), iwork.ctypes.data,
+            ctypes.byref(liwork), ctypes.byref(info), 1)
+    if info.value:
         raise NumericalError(
-            f"tridiagonal eigensolve failed for dim {diag.size}: {exc}"
-        ) from exc
+            f"tridiagonal eigensolve failed for dim {n}: LAPACK dstevd returned info {info.value}"
+        )
     return w, _fix_signs(v)
 
 
@@ -139,7 +196,8 @@ def _persymmetric_split(diag: np.ndarray, off: np.ndarray) -> SpectralData:
 def eigh_tridiag(m: SymTridiag) -> SpectralData:
     """Eigenvalues (ascending) and endpoint components of a SymTridiag.
 
-    Raises ValueError on a NaN or infinite entry, whichever path it takes.
+    Raises ValueError on a NaN or infinite entry, whichever path it takes,
+    and NumericalError when folding a finite chain overflows.
     """
     diag = m.diag
     off = m.offdiag

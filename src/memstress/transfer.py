@@ -16,9 +16,9 @@ the grid points whose decisions the screen cannot prove, each at most once,
 so every value that decides a branch has fidelity_trace's bits and each scan
 returns what it would return on the full exact trace.  The golden sections
 of a peak search run in lockstep, one fidelity_trace call per step.  The
-peak returned is the earliest time of the best value, and the grid best wins
-ties against refined windows, so on a mirror-symmetric chain it is the first
-mirror time, not a later revival.
+peak returned is the earliest peak whose value is within the scan's rounding
+tolerance of the best value, so on a mirror-symmetric chain it is the first
+mirror time, not a later revival that rounds an ulp higher.
 """
 
 from __future__ import annotations
@@ -256,14 +256,16 @@ def _window_crossing(s: SpectralData, threshold: float, lip: float, w_min: float
 
 
 def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
-    """Earliest (t*, F(t*)) of the best value found over [0, t_max].
+    """Earliest (t*, F(t*)) within rounding of the best value over [0, t_max].
 
     The grid best is the first grid point at the grid maximum.  Every
     base-grid window whose Lipschitz bound beats that maximum is refined by
-    golden-section search.  If a refined value exceeds the grid best, the
-    earliest window at the largest refined value wins; on a tie the grid
-    best stays.  Only the grid points and windows the screen cannot rule out
-    get exact values, and the golden sections run in lockstep.
+    golden-section search, and each run of adjacent refined windows is one
+    peak, valued at its largest refined value; the grid best stands for its
+    own peak when it lies before a run, or inside one without being beaten.
+    The earliest peak within the scan's tol (3 eps) of the best value found
+    wins.  Only the grid points and windows the screen cannot rule out get
+    exact values, and the golden sections run in lockstep.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
@@ -280,9 +282,18 @@ def locate_fidelity_peak(s: SpectralData, t_max: float) -> tuple[float, float]:
     bounds = 0.5 * (f[windows] + f[windows + 1]) + lip * np.diff(times)[windows] * 0.5
     refine = windows[bounds > f[best]]
     t_ref, f_ref = _golden_sections(s, times[refine], times[refine + 1])
-    if f_ref.size and f_ref.max() > f[best]:
-        k = np.argmax(f_ref)
-        return float(t_ref[k]), float(f_ref[k])
+    floor = max(f[best], f_ref.max(initial=-np.inf)) - scan.tol
+    # one run of adjacent refined windows is one peak, taken in time order
+    for run in np.split(np.arange(refine.size), np.flatnonzero(np.diff(refine) > 1) + 1):
+        if not run.size:
+            continue
+        k = run[np.argmax(f_ref[run])]
+        first, last = refine[run[0]], refine[run[-1]] + 1
+        grid_first = best < first or (best <= last and f[best] >= f_ref[k])
+        if grid_first and f[best] >= floor:
+            break
+        if f_ref[k] >= floor:
+            return float(t_ref[k]), float(f_ref[k])
     return float(times[best]), float(f[best])
 
 

@@ -19,7 +19,7 @@ from memstress.experiments import (
     run,
 )
 from memstress.reporting import write_csv, write_json
-from memstress.spectral import NumericalError
+from memstress.spectral import EIGENSOLVER, NumericalError
 
 
 def test_parse_n_range():
@@ -258,6 +258,8 @@ def test_cli_runs_ising_splitting_deterministically(tmp_path):
     assert summary["config"]["seed"] == 5
     assert summary["all_passed"] is True
     assert "wall_clock_seconds" in summary
+    assert summary["eigensolver"] == EIGENSOLVER
+    assert EIGENSOLVER in ("numpy-openblas dstevd", "scipy eigh_tridiagonal")
     header = main_csv.decode().splitlines()[0]
     assert header == "N,delta,splitting"
 

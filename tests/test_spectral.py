@@ -1,4 +1,9 @@
+import ctypes
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +12,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memstress import spectral
 from memstress.effective import SymTridiag
 from memstress.spectral import (
     NumericalError,
@@ -265,6 +271,14 @@ def test_generic_endpoint_underflow_raises():
         eigh_tridiag(m)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("M", [2, 4])
+def test_persymmetric_fold_overflow_raises(M):
+    # the even half's last diagonal entry is 1e308 + 1e308 = inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigh_tridiag(SymTridiag(np.full(M, 1e308), np.full(M - 1, 1e308)))
+
+
 def fix_signs_loop(vecs):
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
@@ -286,3 +300,69 @@ def test_fix_signs_matches_column_loop(seed):
     vecs[0, 7] = -1.5
     expected = fix_signs_loop(vecs.copy())
     assert _fix_signs(vecs).tobytes() == expected.tobytes()
+
+
+# every kind of chain the string experiments solve, compared bit for bit;
+# BLAS is pinned to one thread, as in scripts/check_outputs.py, because
+# dstevd's eigenvectors at M = 511 and 1023 move by an ulp with the thread
+# count, in scipy's build as in numpy's
+BIT_EQUALITY_CODE = """
+import numpy as np
+import scipy.linalg as sla
+from memstress.spectral import _fix_signs, _lapack_tridiag
+from memstress.transfer import christandl_couplings
+
+rng = np.random.default_rng(0)
+differ = []
+for M in [*range(2, 70), 128, 255, 256, 511, 512, 1023, 1024]:
+    d, o = rng.uniform(-1, 1, M), rng.uniform(0.2, 1.0, M - 1)
+    for kind, diag, off in (("uniform", np.zeros(M), np.ones(M - 1)),
+                            ("random", *(rng.uniform(-1, 1, M), rng.uniform(0.2, 1.0, M - 1))),
+                            ("christandl", np.zeros(M), christandl_couplings(M + 1)),
+                            ("persymmetric", 0.5 * (d + d[::-1]), 0.5 * (o + o[::-1]))):
+        w, v = _lapack_tridiag(diag, off)
+        w_ref, v_ref = sla.eigh_tridiagonal(diag, off)
+        if (w.tobytes() != w_ref.tobytes()
+                or v.tobytes() != _fix_signs(v_ref).tobytes()):
+            differ.append((kind, M))
+print(differ)
+"""
+
+
+@pytest.mark.skipif(spectral._DSTEVD is None,
+                    reason="numpy bundles no scipy_dstevd_64_, so scipy.linalg is the only path")
+def test_bundled_dstevd_equals_scipy_bit_for_bit():
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", BIT_EQUALITY_CODE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_dstevd_failure_raises_numerical_error(monkeypatch):
+    seen = {}
+
+    @ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t)
+    def failing(jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, jobz_len):
+        seen.update(jobz=jobz, n=ctypes.c_int64.from_address(n).value, jobz_len=jobz_len)
+        ctypes.c_int64.from_address(info).value = 1
+
+    monkeypatch.setattr(spectral, "_DSTEVD", failing)
+    with pytest.raises(NumericalError, match="dim 5"):
+        eigh_tridiag(random_chain(0, 5))
+    assert seen == {"jobz": b"V", "n": 5, "jobz_len": 1}
+
+
+@pytest.mark.parametrize("M", [2, 9, 25])
+def test_scipy_fallback_gives_the_same_spectra(monkeypatch, M):
+    # the path taken where numpy bundles no dstevd; up to M = 25 dstevd runs
+    # its QL/QR branch, whose bits do not depend on the BLAS thread count
+    chains = (random_chain(M, M), palindromic_chain(M, M))
+    bundled = [eigh_tridiag(m) for m in chains]
+    monkeypatch.setattr(spectral, "_DSTEVD", None)
+    for m, expected in zip(chains, bundled):
+        got = eigh_tridiag(m)
+        for name in ("eigenvalues", "first_components", "last_components"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()

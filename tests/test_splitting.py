@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from memstress import splitting
+from memstress import spectral, splitting
 from memstress.effective import (
     SymTridiag,
     banded_effective,
@@ -607,10 +607,20 @@ def test_non_finite_entries_are_rejected(bad):
             measure_splitting(family, (0, 1), np.logspace(-2, -1, 6))
 
 
+def _run_fresh(code):
+    # a new interpreter with this checkout's src first on the path
+    src = str(Path(splitting.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_splitting_runs_without_mpmath(tmp_path):
     # ising-splitting at N = 3 stays above the double floor, so the mp entry
     # points and the escalation are called directly as well
-    code = f"""
+    _run_fresh(f"""
 import sys
 import numpy as np
 from memstress.effective import ising_effective_surface
@@ -624,11 +634,28 @@ assert tridiag_eigenvalue_mp(m, (1, 0)) == dense_eigenvalue_mp(m.dense(), (1, 0)
 assert _pair_splitting(m, (0, 1))[1] == 120
 assert "mpmath" not in sys.modules, "mpmath was imported"
 assert "fractions" not in sys.modules, "fractions was imported"
-"""
-    src = str(Path(splitting.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
+""")
     assert (tmp_path / "ising_splitting.csv").exists()
+
+
+@pytest.mark.skipif(spectral._DSTEVD is None,
+                    reason="numpy bundles no scipy_dstevd_64_, so scipy.linalg solves the chains")
+def test_runtime_runs_without_scipy(tmp_path):
+    # toric-transfer at N = 8 folds its chain into LAPACK-sized halves, the
+    # random chain takes the generic path, and oracle-verify runs at N = 2
+    _run_fresh(f"""
+import sys
+import numpy as np
+from memstress.effective import SymTridiag
+from memstress.experiments import ExperimentConfig, run
+from memstress.spectral import eigh_tridiag
+
+rng = np.random.default_rng(0)
+eigh_tridiag(SymTridiag(rng.uniform(-1, 1, 40), rng.uniform(0.2, 1.0, 39)))
+for name, n_range in (("ising-splitting", [3]), ("toric-transfer", [3, 8]),
+                      ("oracle-verify", [2])):
+    assert run(ExperimentConfig(experiment=name, N_range=n_range,
+                                output_dir={str(tmp_path)!r})) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+""")
+    assert (tmp_path / "toric_transfer_summary.json").exists()
