@@ -6,7 +6,12 @@ evolution, subspace projections, and the symbolic-plus-statevector check of
 the duality circuit that turns the string perturbation into a free hopping
 chain.  A state is a plain 1-D complex ``np.ndarray`` of length 2**n; the
 ground-state builders enforce the qubit cap, and the Pauli kernel rejects a
-state of the wrong length.
+state of the wrong length.  States stay dense, but the Pauli kernel maps only
+their nonzero entries when those fit in one of its blocks, so a Hamiltonian
+apply costs in proportion to the support: the toric N = 3 ground state has
+256 nonzero entries of 2**18, and its string and Krylov states at most 512.
+The vector arithmetic around it (norms, overlaps, Lanczos updates) still
+walks all 2**n entries.
 """
 
 from __future__ import annotations

@@ -14,24 +14,46 @@ state is its float64 view, re/im pairs that are never flipped or signed
 apart.  The pairs are dropped when the imaginary parts of the state and of
 every coefficient are all zero.
 
-The kernel cuts the state into blocks of ``_BLOCK_FLOATS`` floats: a block
-is one value h of the high index bits and holds every low index j_lo (times
-the re/im pair).  X^x maps block h ^ x_hi onto block h and permutes inside
-it by j_lo ^ x_lo.  The Z sign at output index j is (-1)^parity(x&z)
-(-1)^popcount(j&z), a parity of h & z_hi times a sign vector over j_lo.  A
-real coefficient c folds with both signs into one ±c factor vector, so per
-block each term is one gather (only when x_lo flips low bits) and one
-multiply into a reused block buffer, then one ``+=`` into the sum, in term
-order.  A coefficient with a nonzero imaginary part takes numpy's complex
-``*=`` after the exact sign step, as the former complex kernel did.  The
-per-term masks, factor vectors and gather indices are built on every call;
-nothing is cached between calls.  Multiplying by ±1 is exact, so every
-value equals that kernel's up to the sign of a zero, and sums equal it byte
-for byte.
+Per term, the factor at output index j is ±c = c (-1)^parity(x&z)
+(-1)^popcount(j&z): a real coefficient c folds with both signs into one
+factor per index (multiplying by ±1 is exact), and a coefficient with a
+nonzero imaginary part takes numpy's complex ``*=`` after that exact sign
+step.  Products are added into a +0 sum in term order.  The kernel takes
+one of two paths, chosen by the state's support (its nonzero entries):
+
+- Support path, when the support fits in one block (``nnz * width <=
+  _BLOCK_FLOATS``, width 2 for re/im pairs and 1 otherwise).  Per term,
+  the support indices k map to outputs k ^ x, whose factors are formed
+  from the full output index and scattered with one ``+=``.  It does at
+  most one block of work per term, whatever the register size, so the
+  cost of a stabilizer-structured state scales with its support.
+- Blocked path, for dense states.  It cuts the state into blocks of
+  ``_BLOCK_FLOATS`` floats: a block is one value h of the high index bits
+  and holds every low index j_lo (times the re/im pair).  X^x maps block
+  h ^ x_hi onto block h and permutes inside it by j_lo ^ x_lo; the sign is
+  a parity of h & z_hi times a factor vector over j_lo.  Per block each
+  term is one gather (only when x_lo flips low bits) and one multiply
+  into a reused block buffer, then one ``+=`` into the sum, in term order.
+
+The per-term masks, factors and gather indices are built on every call;
+nothing is cached between calls.  Every value equals the former complex
+kernel's up to the sign of a zero, and sums equal it byte for byte.
+
+Why the two paths give the same bytes.  Coefficients are finite
+(``PauliTerm`` rejects NaN and inf), so a source entry outside the support
+contributes c (±1) (±0) = ±0, in both parts of a complex product.  The sum
+starts at +0, and in round-to-nearest an addition never turns it into -0
+(x + (-x) = +0 and +0 + (-0) = +0), so adding a signed zero never changes
+it.  The contributions the support path keeps are the same float products,
+added in the same term order, and XOR is a bijection, so no index repeats
+within a term.  numpy multiplies a one-element complex array by a different formula
+than a longer one, so a one-entry support is padded with a zero neighbour;
+any superset of the support gives the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +96,9 @@ class PauliTerm:
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask has bits outside the qubit register")
+        c = complex(self.coeff)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"coefficient {self.coeff} is not finite")
 
     @property
     def weight(self) -> int:
@@ -196,21 +221,37 @@ def apply_to_state(p: PauliTerm, v: np.ndarray) -> np.ndarray:
 
     out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x]; ``v`` may be
     real, integer or complex.  This is the one-term case of the kernel
-    described in the module docstring.
+    described in the module docstring: its cost scales with the support of
+    ``v`` when that fits in one block, and with ``2**n`` otherwise.
     """
     return _apply_terms((p,), p.n_qubits, v)
 
 
 def _sign_vector(mask: int, index: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(k & mask) for each k < 2**32 of ``index``, as float64."""
+    """(-1)^popcount(k & mask) for each k >= 0 of the int64 ``index``, as float64.
+
+    The XOR fold starts at the largest shift below the mask's bit length,
+    so it covers every bit of k & mask and does no more steps than that needs.
+    """
     parity = index & mask
-    for shift in (16, 8, 4, 2, 1):
-        parity ^= parity >> shift
+    for shift in (32, 16, 8, 4, 2, 1):
+        if shift < mask.bit_length():
+            parity ^= parity >> shift
     return 1.0 - 2.0 * (parity & 1)
 
 
-def _apply_terms(terms, n: int, v) -> np.ndarray:
-    """Sum of ``t @ v`` over ``terms`` in order; see the module docstring."""
+def _factor(scale: float, z: int, index: np.ndarray, width: int):
+    """``scale`` times the Z sign of each output index, once per float of its cell."""
+    return np.repeat(scale * _sign_vector(z, index), width) if z else scale
+
+
+def _float_planes(terms, n: int, v):
+    """The state as float64 planes, their width and each term's ``(x, z, scale, c)``.
+
+    ``scale`` is the exact real factor (-1)^parity(x&z) times a real
+    coefficient (or times 1), and ``c`` the complex coefficient left for
+    ``*=``, or None when the coefficient is real.
+    """
     v = np.asarray(v)
     if v.shape != (1 << n,):
         raise ValueError(f"state length {v.shape} does not match 2**{n}")
@@ -221,19 +262,46 @@ def _apply_terms(terms, n: int, v) -> np.ndarray:
     else:
         planes = np.ascontiguousarray(v.real, dtype=np.float64)
         width = 1
+    scaled = []
+    for t, c in zip(terms, coeffs):
+        sign = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
+        if c.imag == 0.0:
+            scaled.append((t.x_mask, t.z_mask, sign * c.real, None))
+        else:
+            scaled.append((t.x_mask, t.z_mask, sign, c))
+    return planes, width, scaled
+
+
+def _support_sum(planes: np.ndarray, width: int, scaled, supp: np.ndarray) -> np.ndarray:
+    """The support path: each term maps only the cells ``supp`` (a superset of the nonzeros)."""
+    if supp.size == 1:
+        supp = np.append(supp, supp ^ 1)  # see the module docstring
+    cells = planes.view(complex) if width == 2 else planes
+    vals = cells[supp].view(np.float64)
+    buf = np.empty_like(vals)
+    prod = buf.view(complex) if width == 2 else buf  # buf as cells
+    acc = np.zeros_like(cells)
+    for x, z, scale, c in scaled:
+        idx = supp ^ x
+        np.multiply(vals, _factor(scale, z, idx, width), out=buf)
+        if c is not None:
+            prod *= c
+        acc[idx] += prod
+    return acc.view(np.float64)
+
+
+def _blocked_sum(planes: np.ndarray, width: int, scaled) -> np.ndarray:
+    """The blocked path: every term walks the whole state, one block at a time."""
+    n = (planes.size // width).bit_length() - 1
     lo = min(n, (_BLOCK_FLOATS // width).bit_length() - 1)
     low = (1 << lo) - 1
     j_lo = np.arange(1 << lo)
     tables = []
-    for t, c in zip(terms, coeffs):
-        scale = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
-        if c.imag == 0.0:
-            scale *= c.real
-        z_lo, x_lo = t.z_mask & low, t.x_mask & low
-        factor = np.repeat(scale * _sign_vector(z_lo, j_lo), width) if z_lo else scale
+    for x, z, scale, c in scaled:
+        z_lo, x_lo = z & low, x & low
+        factor = _factor(scale, z_lo, j_lo, width)
         gather = (width * (j_lo ^ x_lo)[:, None] + np.arange(width)).reshape(-1) if x_lo else None
-        tables.append((t.x_mask >> lo, t.z_mask >> lo, (factor, -factor), gather,
-                       c if c.imag != 0.0 else None))
+        tables.append((x >> lo, z >> lo, (factor, -factor), gather, c))
     blocks = planes.reshape(-1, width << lo)
     acc = np.zeros_like(blocks)
     buf = np.empty(blocks.shape[1])
@@ -249,7 +317,19 @@ def _apply_terms(terms, n: int, v) -> np.ndarray:
             if c is not None:
                 cbuf *= c
             row += buf
-    acc = acc.reshape(-1)
+    return acc.reshape(-1)
+
+
+def _apply_terms(terms, n: int, v) -> np.ndarray:
+    """Sum of ``t @ v`` over ``terms`` in order; see the module docstring."""
+    planes, width, scaled = _float_planes(terms, n, v)
+    nonzero = planes != 0.0
+    if width == 2:
+        nonzero = nonzero.view(np.uint16) != 0  # a cell is nonzero when either part is
+    if np.count_nonzero(nonzero) * width <= _BLOCK_FLOATS:
+        acc = _support_sum(planes, width, scaled, np.flatnonzero(nonzero))
+    else:
+        acc = _blocked_sum(planes, width, scaled)
     return acc.view(complex) if width == 2 else acc.astype(complex)
 
 
@@ -306,7 +386,10 @@ class PauliSum:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Dense action ``sum_t t @ v`` as a complex vector, summed in term order.
 
-        No matrix is built; see the module docstring for the kernel.
+        No matrix is built.  A state whose nonzero entries fit in one block
+        is mapped entry by entry, so its cost scales with that support; a
+        denser one is walked block by block.  Both give the same bytes; see
+        the module docstring.
         """
         return _apply_terms(self.terms, self.n_qubits, v)
 

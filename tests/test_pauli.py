@@ -383,3 +383,128 @@ def test_sum_apply_is_byte_equal_across_blocks(n):
             assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
         for t in complex_sum.terms[:6]:
             assert np.array_equal(apply_to_state(t, v), _reference_apply(t, v))
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan")),
+                                   complex(float("inf"), 1.0)])
+def test_non_finite_coefficient_is_rejected(coeff):
+    with pytest.raises(ValueError, match="not finite"):
+        PauliTerm(2, 1, 0, coeff)
+    with pytest.raises(ValueError, match="not finite"):
+        pauli_x(2, 0).scaled(coeff)
+
+
+def test_sign_vector_takes_the_full_index():
+    from memstress.pauli import _sign_vector
+
+    rng = np.random.default_rng(40)
+    index = rng.integers(0, 1 << 62, size=200)
+    for mask in [1, 3, 0x1FF, (1 << 32) | 1, 1 << 40, int(rng.integers(0, 1 << 62))]:
+        want = [(-1.0) ** bin(int(k) & mask).count("1") for k in index]
+        assert np.array_equal(_sign_vector(mask, index), want)
+
+
+def _kernel_outputs(h: PauliSum, v, supp=None):
+    """``h @ v`` through the blocked and the support kernels; ``supp`` defaults to the nonzeros."""
+    from memstress.pauli import _blocked_sum, _float_planes, _support_sum
+
+    planes, width, scaled = _float_planes(h.terms, h.n_qubits, v)
+    if supp is None:
+        supp = np.flatnonzero(planes.view(complex) if width == 2 else planes)
+    outs = (_blocked_sum(planes, width, scaled), _support_sum(planes, width, scaled, supp))
+    return [acc.view(complex) if width == 2 else acc.astype(complex) for acc in outs]
+
+
+def assert_paths_byte_equal(h: PauliSum, v, supp=None):
+    want = _reference_sum_apply(h, v).tobytes()
+    assert h.apply(v).tobytes() == want
+    for out in _kernel_outputs(h, v, supp):
+        assert out.tobytes() == want
+
+
+def _sparse_states(rng, n: int, nnz: int):
+    """A real and a complex state on ``nnz`` random cells, zeros of both signs elsewhere.
+
+    Some complex cells have one zero part of either sign.  Also returns the
+    support with as many zero cells added, a superset the support kernel
+    must treat like the support itself.
+    """
+    dim = 1 << n
+    zeros = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+    supp = rng.choice(dim, size=nnz, replace=False)
+    real = zeros.copy()
+    real[supp] = rng.standard_normal(nnz)
+    cplx = zeros + 1j * np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+    cplx[supp] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    one_part = supp[: nnz // 3]
+    cplx.real[one_part[::2]] = zeros[one_part[::2]]
+    cplx.imag[one_part[1::2]] = zeros[one_part[1::2]]
+    extra = np.setdiff1d(rng.choice(dim, size=nnz, replace=False), supp)
+    return real, cplx, np.concatenate([supp, extra])
+
+
+@pytest.mark.parametrize("n", [9, 14, 18])
+def test_support_path_is_byte_equal_on_sparse_states(n):
+    rng = np.random.default_rng(50 + n)
+    for nnz in (2, 37, 300):
+        real, cplx, superset = _sparse_states(rng, n, nnz)
+        terms = [PauliTerm(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)), c * f)
+                 for c in _SIGNED_COEFFS for f in (1.0, rng.uniform(0.1, 2.0))]
+        h = PauliSum.from_terms(terms + [pauli_y(n, 0, n - 1).scaled(-0.75)], n)
+        real_h = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real)
+                                      for t in h if t.coeff.real != 0.0], n)
+        for v in (real, cplx):
+            for s in (h, real_h):
+                assert_paths_byte_equal(s, v)
+                assert_paths_byte_equal(s, v, superset)
+        for c in _SIGNED_COEFFS:
+            p = PauliTerm(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), c)
+            for v in (real, cplx):
+                assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
+
+
+@pytest.mark.parametrize("n", [1, 5, 18])
+def test_single_and_empty_support(n):
+    # numpy's complex *= takes another formula on a one-element array
+    rng = np.random.default_rng(60 + n)
+    h = PauliSum.from_terms([PauliTerm(n, 1, 1, 0.3 + 0.7j), PauliTerm(n, 0, 1, complex(-0.37, 1.91)),
+                             PauliTerm(n, (1 << n) - 1, 0, 0.5)], n)
+    for _ in range(20):
+        v = np.zeros(1 << n, dtype=complex)
+        v[rng.integers(1 << n)] = complex(*rng.standard_normal(2))
+        assert_paths_byte_equal(h, v)
+        assert_paths_byte_equal(h, v.real)
+    assert_paths_byte_equal(h, np.zeros(1 << n, dtype=complex))
+
+
+def test_support_of_one_block_either_side_of_the_rule():
+    from memstress.pauli import _BLOCK_FLOATS
+
+    n = 14
+    rng = np.random.default_rng(70)
+    h = _random_sum(rng, n, 16)
+    real_h = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real)
+                                  for t in h if t.coeff.real != 0.0], n)
+    for width in (1, 2):
+        for nnz in (_BLOCK_FLOATS // width - 1, _BLOCK_FLOATS // width, _BLOCK_FLOATS // width + 1):
+            real, cplx, _ = _sparse_states(rng, n, nnz)
+            v = real if width == 1 else cplx
+            for s in (h, real_h):
+                assert_paths_byte_equal(s, v)
+
+
+def test_paths_byte_equal_on_toric_states():
+    from memstress.lattices import ToricLattice, toric_hamiltonian, toric_perturbation
+    from memstress.oracle import krylov_propagate, toric_ground_state, toric_string_basis
+
+    lat = ToricLattice(3)
+    rng = np.random.default_rng(80)
+    h = toric_hamiltonian(lat) + toric_perturbation(
+        lat, rng.uniform(0.3, 0.9, 1), rng.uniform(-0.5, 0.5, 2), 0.1
+    )
+    psi = toric_ground_state(lat)
+    strings = toric_string_basis(lat, psi)
+    evolved = krylov_propagate(h, strings[0], 2.5)
+    assert 0 < np.count_nonzero(evolved) <= 512 and evolved.imag.any()
+    for v in (psi, *strings, evolved):
+        assert_paths_byte_equal(h, v)
