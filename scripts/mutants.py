@@ -7,7 +7,7 @@ Each mutant replaces one piece of ``src/memstress`` (the text must occur
 exactly once) in a copy of ``src/``, ``tests/`` and ``pyproject.toml`` under
 a temporary directory, then runs pytest on the tests named for it.  A mutant
 is killed when a test fails.  The inert mutants change nothing a test can
-see (a tie side, a tolerance no input comes near, or only speed); they are
+see (a tie side, or a tolerance no input comes near); they are
 listed so that a change that makes one visible shows here.  With names, only
 those mutants run.  BLAS is pinned to one thread, as in
 ``scripts/check_outputs.py``.  It runs by hand, not in Tier-1: about 1-15 s
@@ -75,8 +75,8 @@ MUTANTS = (
            ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",
             "tests/test_pauli.py::test_paths_byte_equal_on_toric_states")),
     Mutant("support sign from the source index", "pauli.py",
-           "np.multiply(vals, _factor(scale, z, idx, width), out=buf)",
-           "np.multiply(vals, _factor(scale, z, supp, width), out=buf)",
+           "np.multiply(vals, _factor(scale, t.z_mask, idx, width), out=buf)",
+           "np.multiply(vals, _factor(scale, t.z_mask, supp, width), out=buf)",
            ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",)),
     Mutant("support path skips the complex *= c", "pauli.py",
            "            prod *= c\n        acc[idx] += prod",
@@ -86,6 +86,9 @@ MUTANTS = (
            "    if supp.size == 1:\n        supp = np.append(supp, supp ^ 1)",
            "    if False:\n        supp = np.append(supp, supp ^ 1)",
            ("tests/test_pauli.py::test_single_and_empty_support",)),
+    Mutant("support drops cells whose only nonzero part is imaginary", "pauli.py",
+           "return np.flatnonzero(parts.view(np.uint16) != 0)", "return np.flatnonzero(v.real != 0)",
+           ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",)),
     Mutant("sign vector folds 32 bits only", "pauli.py",
            "for shift in (32, 16, 8, 4, 2, 1):", "for shift in (16, 8, 4, 2, 1):",
            ("tests/test_pauli.py::test_sign_vector_takes_the_full_index",)),
@@ -106,12 +109,6 @@ MUTANTS = (
     Mutant("DOUBLE_FLOOR 1e-12 -> 1e-10", "splitting.py",
            "DOUBLE_FLOOR = 1e-12", "DOUBLE_FLOOR = 1e-10",
            ("tests/test_splitting.py",), inert=True),
-    Mutant("Pauli kernel always blocked (speed only)", "pauli.py",
-           "if np.count_nonzero(nonzero) * width <= _BLOCK_FLOATS:", "if False:",
-           ("tests/test_pauli.py", "tests/test_oracle.py"), inert=True),
-    Mutant("Pauli kernel always on the support (speed only)", "pauli.py",
-           "if np.count_nonzero(nonzero) * width <= _BLOCK_FLOATS:", "if True:",
-           ("tests/test_pauli.py", "tests/test_oracle.py"), inert=True),
 )
 
 

@@ -7,9 +7,9 @@ the duality circuit that turns the string perturbation into a free hopping
 chain.  A state is a plain 1-D complex ``np.ndarray`` of length 2**n; the
 ground-state builders enforce the qubit cap, and the Pauli kernel rejects a
 state of the wrong length.  States stay dense, but the Pauli kernel maps only
-their nonzero entries when those fit in one of its blocks, so a Hamiltonian
-apply costs in proportion to the support: the toric N = 3 ground state has
-256 nonzero entries of 2**18, and its string and Krylov states at most 512.
+their nonzero entries, so past one read to find them a Hamiltonian apply
+costs in proportion to the support: the toric N = 3 ground state has 256
+nonzero entries of 2**18, and its string and Krylov states at most 512.
 The vector arithmetic around it (norms, overlaps, Lanczos updates) still
 walks all 2**n entries.
 """
@@ -230,13 +230,19 @@ def apply_circuit_to_state(circuit, v: np.ndarray) -> np.ndarray:
 
     On the ``(2,)*n`` view (qubit q is axis ``n-1-q``) each gate flips the
     target axis of the control = 1 slice; that slice has no control axis, so
-    the target axis moves down by one when target < control.
+    the target axis moves down by one when target < control.  Every gate
+    needs 0 <= control, target < n and control != target, as in
+    ``conjugate_by_cnot``; ``v`` itself is never written.
     """
     n = v.size.bit_length() - 1
     if n < 0 or v.shape != (1 << n,):
         raise ValueError(f"state shape {v.shape} is not a power-of-two length")
     amps = v.astype(complex).reshape((2,) * n)
     for control, target in circuit:
+        if not (0 <= control < n and 0 <= target < n):
+            raise ValueError(f"gate ({control}, {target}) has a qubit index out of range for {n} qubits")
+        if control == target:
+            raise ValueError(f"gate ({control}, {target}): control and target must differ")
         on = (slice(None),) * (n - 1 - control) + (1,)
         amps[on] = np.flip(amps[on], axis=n - 1 - target - (target < control))
     return amps.reshape(-1)

@@ -9,46 +9,33 @@ Qubit 0 is the least-significant bit of both the masks and the statevector
 index.  Lattice geometry lives elsewhere; this module only sees flat indices.
 
 Dense action.  ``apply_to_state`` and ``PauliSum.apply`` share one kernel
-that works in float64 arithmetic.  A real state goes in as it is.  A complex
-state is its float64 view, re/im pairs that are never flipped or signed
-apart.  The pairs are dropped when the imaginary parts of the state and of
-every coefficient are all zero.
-
-Per term, the factor at output index j is ±c = c (-1)^parity(x&z)
+that maps only the state's support, its nonzero cells (a complex cell is
+nonzero when either part is).  The support's values are gathered once and
+worked on in float64 arithmetic: as reals when the gathered cells and every
+coefficient have zero imaginary parts, else as re/im pairs that are never
+flipped or signed apart.  Per term, the support indices k map to outputs
+k ^ x, and the factor at output index j is ±c = c (-1)^parity(x&z)
 (-1)^popcount(j&z): a real coefficient c folds with both signs into one
 factor per index (multiplying by ±1 is exact), and a coefficient with a
 nonzero imaginary part takes numpy's complex ``*=`` after that exact sign
-step.  Products are added into a +0 sum in term order.  The kernel takes
-one of two paths, chosen by the state's support (its nonzero entries):
+step.  Each term's products are scattered with one ``+=`` into a +0
+complex output (its real part for real arithmetic), in term order.  The
+cost per term scales with the support, whatever the register size; finding
+the support reads all 2**n cells once per call.  The per-term factors and
+indices are built on every call; nothing is cached between calls.
 
-- Support path, when the support fits in one block (``nnz * width <=
-  _BLOCK_FLOATS``, width 2 for re/im pairs and 1 otherwise).  Per term,
-  the support indices k map to outputs k ^ x, whose factors are formed
-  from the full output index and scattered with one ``+=``.  It does at
-  most one block of work per term, whatever the register size, so the
-  cost of a stabilizer-structured state scales with its support.
-- Blocked path, for dense states.  It cuts the state into blocks of
-  ``_BLOCK_FLOATS`` floats: a block is one value h of the high index bits
-  and holds every low index j_lo (times the re/im pair).  X^x maps block
-  h ^ x_hi onto block h and permutes inside it by j_lo ^ x_lo; the sign is
-  a parity of h & z_hi times a factor vector over j_lo.  Per block each
-  term is one gather (only when x_lo flips low bits) and one multiply
-  into a reused block buffer, then one ``+=`` into the sum, in term order.
-
-The per-term masks, factors and gather indices are built on every call;
-nothing is cached between calls.  Every value equals the former complex
-kernel's up to the sign of a zero, and sums equal it byte for byte.
-
-Why the two paths give the same bytes.  Coefficients are finite
-(``PauliTerm`` rejects NaN and inf), so a source entry outside the support
-contributes c (±1) (±0) = ±0, in both parts of a complex product.  The sum
-starts at +0, and in round-to-nearest an addition never turns it into -0
+Why this equals the index-table kernel byte for byte (the tests'
+reference gathers v[j ^ x] for every j and adds each term's complex
+product into a +0 sum).  Coefficients are finite (``PauliTerm`` rejects
+NaN and inf), so a source cell outside the support contributes
+c (±1) (±0) = ±0, in both parts of a complex product.  The sum starts at
++0, and in round-to-nearest an addition never turns it into -0
 (x + (-x) = +0 and +0 + (-0) = +0), so adding a signed zero never changes
-it.  The contributions the support path keeps are the same float products,
-added in the same term order, and XOR is a bijection, so no index repeats
-within a term.  numpy multiplies a one-element complex array by a different formula
-than a longer one, so a one-entry support is padded with a zero neighbour;
-any superset of the support gives the same bytes.
+it.  The contributions kept equal the reference's products up to the sign
+of a zero, which that sum absorbs; they are added in the same term order,
+and XOR is a bijection, so no index repeats within a term.
+numpy multiplies a one-element complex array by a different formula than a
+longer one, so a one-entry support is padded with a zero neighbour.
 """
 
 from __future__ import annotations
@@ -71,10 +58,6 @@ __all__ = [
     "conjugate_by_circuit",
     "apply_to_state",
 ]
-
-
-# float64 values in one block of the dense kernel (64 KiB)
-_BLOCK_FLOATS = 1 << 13
 
 
 def _parity(n: int) -> int:
@@ -221,8 +204,8 @@ def apply_to_state(p: PauliTerm, v: np.ndarray) -> np.ndarray:
 
     out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x]; ``v`` may be
     real, integer or complex.  This is the one-term case of the kernel
-    described in the module docstring: its cost scales with the support of
-    ``v`` when that fits in one block, and with ``2**n`` otherwise.
+    described in the module docstring: past one read of ``v`` to find its
+    support, its cost scales with that support.
     """
     return _apply_terms((p,), p.n_qubits, v)
 
@@ -245,92 +228,45 @@ def _factor(scale: float, z: int, index: np.ndarray, width: int):
     return np.repeat(scale * _sign_vector(z, index), width) if z else scale
 
 
-def _float_planes(terms, n: int, v):
-    """The state as float64 planes, their width and each term's ``(x, z, scale, c)``.
+def _support(v: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero cells of ``v``; a complex cell is nonzero when either part is.
 
-    ``scale`` is the exact real factor (-1)^parity(x&z) times a real
-    coefficient (or times 1), and ``c`` the complex coefficient left for
-    ``*=``, or None when the coefficient is real.
+    A function of its own so that its 2**n masks are freed before
+    ``_apply_terms`` allocates its output.
     """
-    v = np.asarray(v)
-    if v.shape != (1 << n,):
-        raise ValueError(f"state length {v.shape} does not match 2**{n}")
-    coeffs = [complex(t.coeff) for t in terms]
-    if any(c.imag != 0.0 for c in coeffs) or (np.iscomplexobj(v) and v.imag.any()):
-        planes = np.ascontiguousarray(v, dtype=complex).view(np.float64)
-        width = 2
-    else:
-        planes = np.ascontiguousarray(v.real, dtype=np.float64)
-        width = 1
-    scaled = []
-    for t, c in zip(terms, coeffs):
-        sign = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
-        if c.imag == 0.0:
-            scaled.append((t.x_mask, t.z_mask, sign * c.real, None))
-        else:
-            scaled.append((t.x_mask, t.z_mask, sign, c))
-    return planes, width, scaled
-
-
-def _support_sum(planes: np.ndarray, width: int, scaled, supp: np.ndarray) -> np.ndarray:
-    """The support path: each term maps only the cells ``supp`` (a superset of the nonzeros)."""
-    if supp.size == 1:
-        supp = np.append(supp, supp ^ 1)  # see the module docstring
-    cells = planes.view(complex) if width == 2 else planes
-    vals = cells[supp].view(np.float64)
-    buf = np.empty_like(vals)
-    prod = buf.view(complex) if width == 2 else buf  # buf as cells
-    acc = np.zeros_like(cells)
-    for x, z, scale, c in scaled:
-        idx = supp ^ x
-        np.multiply(vals, _factor(scale, z, idx, width), out=buf)
-        if c is not None:
-            prod *= c
-        acc[idx] += prod
-    return acc.view(np.float64)
-
-
-def _blocked_sum(planes: np.ndarray, width: int, scaled) -> np.ndarray:
-    """The blocked path: every term walks the whole state, one block at a time."""
-    n = (planes.size // width).bit_length() - 1
-    lo = min(n, (_BLOCK_FLOATS // width).bit_length() - 1)
-    low = (1 << lo) - 1
-    j_lo = np.arange(1 << lo)
-    tables = []
-    for x, z, scale, c in scaled:
-        z_lo, x_lo = z & low, x & low
-        factor = _factor(scale, z_lo, j_lo, width)
-        gather = (width * (j_lo ^ x_lo)[:, None] + np.arange(width)).reshape(-1) if x_lo else None
-        tables.append((x >> lo, z >> lo, (factor, -factor), gather, c))
-    blocks = planes.reshape(-1, width << lo)
-    acc = np.zeros_like(blocks)
-    buf = np.empty(blocks.shape[1])
-    cbuf = buf.view(complex) if width == 2 else None
-    for h, row in enumerate(acc):
-        for x_hi, z_hi, factors, gather, c in tables:
-            src = blocks[h ^ x_hi]
-            if gather is None:
-                np.multiply(src, factors[_parity(h & z_hi)], out=buf)
-            else:
-                np.take(src, gather, out=buf)
-                buf *= factors[_parity(h & z_hi)]
-            if c is not None:
-                cbuf *= c
-            row += buf
-    return acc.reshape(-1)
+    if not np.iscomplexobj(v):
+        return np.flatnonzero(v != 0)
+    parts = np.ascontiguousarray(v).view(v.real.dtype) != 0
+    return np.flatnonzero(parts.view(np.uint16) != 0)  # one uint16 per cell, nonzero when either part is
 
 
 def _apply_terms(terms, n: int, v) -> np.ndarray:
     """Sum of ``t @ v`` over ``terms`` in order; see the module docstring."""
-    planes, width, scaled = _float_planes(terms, n, v)
-    nonzero = planes != 0.0
-    if width == 2:
-        nonzero = nonzero.view(np.uint16) != 0  # a cell is nonzero when either part is
-    if np.count_nonzero(nonzero) * width <= _BLOCK_FLOATS:
-        acc = _support_sum(planes, width, scaled, np.flatnonzero(nonzero))
+    v = np.asarray(v)
+    if v.shape != (1 << n,):
+        raise ValueError(f"state length {v.shape} does not match 2**{n}")
+    supp = _support(v)
+    if supp.size == 1:
+        supp = np.append(supp, supp ^ 1)  # see the module docstring
+    cells = v[supp]
+    out = np.zeros(1 << n, dtype=complex)
+    complex_coeffs = any(complex(t.coeff).imag != 0.0 for t in terms)
+    if complex_coeffs or (np.iscomplexobj(cells) and cells.imag.any()):
+        vals, width, acc = cells.astype(complex, copy=False).view(np.float64), 2, out
     else:
-        acc = _blocked_sum(planes, width, scaled)
-    return acc.view(complex) if width == 2 else acc.astype(complex)
+        vals, width, acc = cells.real.astype(np.float64), 1, out.real
+    buf = np.empty_like(vals)
+    prod = buf.view(complex) if width == 2 else buf  # buf as cells
+    for t in terms:
+        c = complex(t.coeff)
+        sign = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
+        scale = sign if c.imag != 0.0 else sign * c.real
+        idx = supp ^ t.x_mask
+        np.multiply(vals, _factor(scale, t.z_mask, idx, width), out=buf)
+        if c.imag != 0.0:
+            prod *= c
+        acc[idx] += prod
+    return out
 
 
 @dataclass(frozen=True)
@@ -386,10 +322,9 @@ class PauliSum:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Dense action ``sum_t t @ v`` as a complex vector, summed in term order.
 
-        No matrix is built.  A state whose nonzero entries fit in one block
-        is mapped entry by entry, so its cost scales with that support; a
-        denser one is walked block by block.  Both give the same bytes; see
-        the module docstring.
+        No matrix is built.  Only the nonzero entries of ``v`` are mapped,
+        so past one read of ``v`` to find them the cost scales with that
+        support; see the module docstring.
         """
         return _apply_terms(self.terms, self.n_qubits, v)
 

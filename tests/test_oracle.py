@@ -446,6 +446,17 @@ def test_duality_circuit_is_byte_equal_to_index_permutation(toric3):
     assert got.tobytes() == _reference_circuit(circuit, psi).tobytes()
 
 
+def test_circuit_rejects_bad_gate_indices():
+    # unchecked, (5, 0) flips qubit 0 of |100> and (2, 2) qubit 1, with no error
+    v = np.zeros(8, dtype=complex)
+    v[0b100] = 1.0
+    for circuit in ([(5, 0)], [(2, 2)], [(2, 7)], [(-1, 0)], [(0, 1), (1, 3)]):
+        with pytest.raises(ValueError, match="qubit index out of range|must differ"):
+            apply_circuit_to_state(circuit, v)
+    assert v[0b100] == 1.0 and np.count_nonzero(v) == 1
+    assert apply_circuit_to_state([(2, 0)], v).tobytes() == _reference_circuit([(2, 0)], v).tobytes()
+
+
 def test_oracle_summaries_record_their_work(tmp_path, monkeypatch):
     import json
 

@@ -357,15 +357,10 @@ def test_imaginary_coefficient_on_real_state():
 
 
 @pytest.mark.parametrize("n", [13, 14, 15])
-def test_sum_apply_is_byte_equal_across_blocks(n):
-    # the kernel cuts a real state into blocks of 2**lo amplitudes and a
-    # complex one into blocks of 2**(lo - 1); every mask straddles both cuts
-    from memstress.pauli import _BLOCK_FLOATS
-
-    lo = _BLOCK_FLOATS.bit_length() - 1
-    assert n >= lo  # a complex state spans several blocks, a real one from n = lo + 1
+def test_sum_apply_is_byte_equal_on_dense_states(n):
+    # every mask but 0 flips or signs bits on both sides of bit 13
     rng = np.random.default_rng(30 + n)
-    edges = [1 << b for b in (lo - 2, lo - 1, lo, lo + 1) if b < n]
+    edges = [1 << b for b in (11, 12, 13, 14) if b < n]
     masks = [int(rng.integers(0, 1 << n)) | edges[0] | edges[-1] for _ in range(5)]
     masks += [0, edges[0] | edges[-1], edges[len(edges) // 2]]
     terms = []
@@ -404,30 +399,14 @@ def test_sign_vector_takes_the_full_index():
         assert np.array_equal(_sign_vector(mask, index), want)
 
 
-def _kernel_outputs(h: PauliSum, v, supp=None):
-    """``h @ v`` through the blocked and the support kernels; ``supp`` defaults to the nonzeros."""
-    from memstress.pauli import _blocked_sum, _float_planes, _support_sum
-
-    planes, width, scaled = _float_planes(h.terms, h.n_qubits, v)
-    if supp is None:
-        supp = np.flatnonzero(planes.view(complex) if width == 2 else planes)
-    outs = (_blocked_sum(planes, width, scaled), _support_sum(planes, width, scaled, supp))
-    return [acc.view(complex) if width == 2 else acc.astype(complex) for acc in outs]
-
-
-def assert_paths_byte_equal(h: PauliSum, v, supp=None):
-    want = _reference_sum_apply(h, v).tobytes()
-    assert h.apply(v).tobytes() == want
-    for out in _kernel_outputs(h, v, supp):
-        assert out.tobytes() == want
+def assert_apply_byte_equal(h: PauliSum, v):
+    assert h.apply(v).tobytes() == _reference_sum_apply(h, v).tobytes()
 
 
 def _sparse_states(rng, n: int, nnz: int):
     """A real and a complex state on ``nnz`` random cells, zeros of both signs elsewhere.
 
-    Some complex cells have one zero part of either sign.  Also returns the
-    support with as many zero cells added, a superset the support kernel
-    must treat like the support itself.
+    Some complex cells have one zero part of either sign.
     """
     dim = 1 << n
     zeros = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
@@ -439,15 +418,16 @@ def _sparse_states(rng, n: int, nnz: int):
     one_part = supp[: nnz // 3]
     cplx.real[one_part[::2]] = zeros[one_part[::2]]
     cplx.imag[one_part[1::2]] = zeros[one_part[1::2]]
-    extra = np.setdiff1d(rng.choice(dim, size=nnz, replace=False), supp)
-    return real, cplx, np.concatenate([supp, extra])
+    return real, cplx
 
 
 @pytest.mark.parametrize("n", [9, 14, 18])
 def test_support_path_is_byte_equal_on_sparse_states(n):
     rng = np.random.default_rng(50 + n)
-    for nnz in (2, 37, 300):
-        real, cplx, superset = _sparse_states(rng, n, nnz)
+    # at n = 14 also supports of 4095-8193 cells, about a quarter to a half of the register
+    wide = (4095, 4096, 4097, 8191, 8192, 8193) if n == 14 else ()
+    for nnz in (2, 37, 300, *wide):
+        real, cplx = _sparse_states(rng, n, nnz)
         terms = [PauliTerm(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)), c * f)
                  for c in _SIGNED_COEFFS for f in (1.0, rng.uniform(0.1, 2.0))]
         h = PauliSum.from_terms(terms + [pauli_y(n, 0, n - 1).scaled(-0.75)], n)
@@ -455,12 +435,30 @@ def test_support_path_is_byte_equal_on_sparse_states(n):
                                       for t in h if t.coeff.real != 0.0], n)
         for v in (real, cplx):
             for s in (h, real_h):
-                assert_paths_byte_equal(s, v)
-                assert_paths_byte_equal(s, v, superset)
+                assert_apply_byte_equal(s, v)
         for c in _SIGNED_COEFFS:
             p = PauliTerm(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), c)
             for v in (real, cplx):
                 assert np.array_equal(apply_to_state(p, v), _reference_apply(p, v))
+
+
+@pytest.mark.parametrize("n", [6, 14])
+def test_apply_gathers_any_dtype_and_layout(n):
+    rng = np.random.default_rng(90 + n)
+    h = _random_sum(rng, n, 16)
+    real_h = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real)
+                                  for t in h if t.coeff.real != 0.0], n)
+    for real, cplx in (_signed_zero_states(rng, n), _sparse_states(rng, n, 37)):
+        big = np.full(2 << n, 7.0 - 7.0j)  # the cells between the strided ones must not leak in
+        big[::2] = cplx
+        big_real = np.full(2 << n, 7.0)
+        big_real[::2] = real
+        assert not big[::2].flags.c_contiguous and not big_real[::2].flags.c_contiguous
+        for v in (cplx.astype(np.complex64), big[::2], big_real[::2]):
+            for s in (h, real_h):
+                assert_apply_byte_equal(s, v)
+            for t in h.terms[:4]:
+                assert np.array_equal(apply_to_state(t, v), _reference_apply(t, v))
 
 
 @pytest.mark.parametrize("n", [1, 5, 18])
@@ -472,25 +470,9 @@ def test_single_and_empty_support(n):
     for _ in range(20):
         v = np.zeros(1 << n, dtype=complex)
         v[rng.integers(1 << n)] = complex(*rng.standard_normal(2))
-        assert_paths_byte_equal(h, v)
-        assert_paths_byte_equal(h, v.real)
-    assert_paths_byte_equal(h, np.zeros(1 << n, dtype=complex))
-
-
-def test_support_of_one_block_either_side_of_the_rule():
-    from memstress.pauli import _BLOCK_FLOATS
-
-    n = 14
-    rng = np.random.default_rng(70)
-    h = _random_sum(rng, n, 16)
-    real_h = PauliSum.from_terms([PauliTerm(n, t.x_mask, t.z_mask, t.coeff.real)
-                                  for t in h if t.coeff.real != 0.0], n)
-    for width in (1, 2):
-        for nnz in (_BLOCK_FLOATS // width - 1, _BLOCK_FLOATS // width, _BLOCK_FLOATS // width + 1):
-            real, cplx, _ = _sparse_states(rng, n, nnz)
-            v = real if width == 1 else cplx
-            for s in (h, real_h):
-                assert_paths_byte_equal(s, v)
+        assert_apply_byte_equal(h, v)
+        assert_apply_byte_equal(h, v.real)
+    assert_apply_byte_equal(h, np.zeros(1 << n, dtype=complex))
 
 
 def test_paths_byte_equal_on_toric_states():
@@ -507,4 +489,4 @@ def test_paths_byte_equal_on_toric_states():
     evolved = krylov_propagate(h, strings[0], 2.5)
     assert 0 < np.count_nonzero(evolved) <= 512 and evolved.imag.any()
     for v in (psi, *strings, evolved):
-        assert_paths_byte_equal(h, v)
+        assert_apply_byte_equal(h, v)
