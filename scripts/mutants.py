@@ -75,12 +75,12 @@ MUTANTS = (
            ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",
             "tests/test_pauli.py::test_paths_byte_equal_on_toric_states")),
     Mutant("support sign from the source index", "pauli.py",
-           "np.multiply(vals, _factor(scale, t.z_mask, idx, width), out=buf)",
-           "np.multiply(vals, _factor(scale, t.z_mask, supp, width), out=buf)",
+           "factor = (scale * _sign_vector(t.z_mask, idx))[:, None] if t.z_mask else scale",
+           "factor = (scale * _sign_vector(t.z_mask, supp))[:, None] if t.z_mask else scale",
            ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",)),
     Mutant("support path skips the complex *= c", "pauli.py",
-           "            prod *= c\n        acc[idx] += prod",
-           "            pass\n        acc[idx] += prod",
+           "            prod *= c\n        out[idx] += prod",
+           "            pass\n        out[idx] += prod",
            ("tests/test_pauli.py::test_support_path_is_byte_equal_on_sparse_states",)),
     Mutant("one-entry support not padded", "pauli.py",
            "    if supp.size == 1:\n        supp = np.append(supp, supp ^ 1)",
@@ -98,6 +98,21 @@ MUTANTS = (
     Mutant("non-finite coefficients accepted", "pauli.py",
            "if not (math.isfinite(c.real) and math.isfinite(c.imag)):", "if False:",
            ("tests/test_pauli.py::test_non_finite_coefficient_is_rejected",)),
+    # non-finite times and spectra
+    Mutant("Krylov accepts non-finite times", "oracle.py",
+           "if not all(0.0 <= t < np.inf for t in times):", "if any(t < 0 for t in times):",
+           ("tests/test_oracle.py::test_krylov_rejects_non_finite_times",
+            "tests/test_oracle.py::test_two_excitation_rejects_non_finite_times")),
+    Mutant("retuning accepts a NaN time", "iep.py",
+           "    if math.isnan(t):\n        raise", "    if False:\n        raise",
+           ("tests/test_iep.py::test_retune_rejects_non_finite_times",)),
+    Mutant("2**53 guard lets a NaN grid index through", "iep.py",
+           "if not reach < 2.0**53:", "if reach >= 2.0**53:",
+           ("tests/test_iep.py::test_retune_rejects_non_finite_times",)),
+    Mutant("reconstruction accepts non-finite entries", "iep.py",
+           "bad = np.flatnonzero(~np.isfinite(entries))\n        if bad.size:",
+           "bad = np.flatnonzero(~np.isfinite(entries))\n        if False:",
+           ("tests/test_iep.py::test_reconstruct_rejects_non_finite_entries",)),
     # inert by design
     Mutant("retune tie side", "iep.py",
            "m[i] += 1 if frac >= 0.0 else -1", "m[i] += 1 if frac > 0.0 else -1",

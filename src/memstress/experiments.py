@@ -27,7 +27,7 @@ from .effective import (
     ising_surface_diagonal,
     toric_effective,
 )
-from .iep import retune_chain
+from .iep import MIN_TIME_FACTOR, retune_chain
 from .lattices import (
     IsingLattice,
     ToricLattice,
@@ -103,7 +103,7 @@ class ExperimentConfig:
             )
         if not (0.0 < self.delta <= 0.5):
             raise ConfigError(f"delta: must lie in (0, 0.5], got {self.delta}")
-        if not (np.isfinite(self.t_factor) and self.t_factor >= 10.0):
+        if not (np.isfinite(self.t_factor) and self.t_factor >= MIN_TIME_FACTOR):
             raise ConfigError(
                 f"t_factor: must be finite and >= 10 (retuning bound), got {self.t_factor}"
             )

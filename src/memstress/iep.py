@@ -57,9 +57,12 @@ def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:
     matters.  Level 0 anchors the global phase; any level whose parity
     disagrees moves one step toward the side it was rounded away from, which
     keeps every shift within one grid interval of the original eigenvalue.
-    t must be at least MIN_TIME_FACTOR * pi / min_gap, and max|lam| t / pi
-    below 2**53 (NumericalError otherwise).
+    t must be at least MIN_TIME_FACTOR * pi / min_gap (ValueError otherwise,
+    and for a NaN t), and max|lam| t / pi below 2**53 (NumericalError
+    otherwise, t = inf included).
     """
+    if math.isnan(t):
+        raise ValueError("t is NaN")
     lam = s.eigenvalues
     a = s.amplitudes
     if np.any(a == 0.0):
@@ -76,7 +79,8 @@ def retune_eigenvalues(s: SpectralData, t: float) -> RetunePlan:
     g = math.pi / t
     x = lam / g
     reach = float(np.max(np.abs(x)))
-    if reach >= 2.0**53:  # every float there is even, so no parity can be fixed
+    # from 2**53 every float is even, so no parity can be fixed (NaN: 0/0 at t = inf)
+    if not reach < 2.0**53:
         raise NumericalError(
             f"max|lam| t / pi = {reach:.3e} reaches 2**53, where grid indices "
             "lose their parity; t is too large to retune"
@@ -111,6 +115,11 @@ def reconstruct_jacobi(retuned: np.ndarray, weights: np.ndarray) -> SymTridiag:
         raise ValueError("spectrum must be a nonempty 1-d array")
     if w.shape != lam.shape:
         raise ValueError("weights must match the spectrum in length")
+    for name, entries in (("eigenvalue", lam), ("weight", w)):
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            raise ValueError(f"{name} entry {bad[0]} is {entries[bad[0]]}; "
+                             "the spectrum and weights must be finite")
     if np.any(np.diff(lam) <= 0.0):
         raise ValueError("spectrum must be strictly ascending")
     if np.any(w <= 0.0):

@@ -117,7 +117,7 @@ def _expm_tridiag(alphas, betas, tau: float) -> np.ndarray:
 
 
 def krylov_propagate(h: PauliSum, v: np.ndarray, t: float, counts=None) -> np.ndarray:
-    """exp(-i H t)|v> by adaptive short-step Lanczos.
+    """exp(-i H t)|v> by adaptive short-step Lanczos, for a finite t >= 0 (else ValueError).
 
     Steps are split until the standard posterior estimate beta_m * |y_m|
     stays within the per-step share of KRYLOV_TOL; an invariant subspace (happy
@@ -141,8 +141,8 @@ def _krylov_sweep(h: PauliSum, v: np.ndarray, times, counts=None):
     ``counts`` tallies one call per time.  States are yielded one at a time,
     so a sweep holds one evolved state, not one per time.
     """
-    if any(t < 0 for t in times):
-        raise ValueError("time must be nonnegative")
+    if not all(0.0 <= t < np.inf for t in times):
+        raise ValueError("time must be finite and nonnegative")
     if v.shape != (1 << h.n_qubits,):
         raise ValueError("operator and state sizes differ")
     norm = float(np.linalg.norm(v))

@@ -9,31 +9,31 @@ Qubit 0 is the least-significant bit of both the masks and the statevector
 index.  Lattice geometry lives elsewhere; this module only sees flat indices.
 
 Dense action.  ``apply_to_state`` and ``PauliSum.apply`` share one kernel
-that maps only the state's support, its nonzero cells (a complex cell is
-nonzero when either part is).  The support's values are gathered once and
-worked on in float64 arithmetic: as reals when the gathered cells and every
-coefficient have zero imaginary parts, else as re/im pairs that are never
-flipped or signed apart.  Per term, the support indices k map to outputs
-k ^ x, and the factor at output index j is ±c = c (-1)^parity(x&z)
-(-1)^popcount(j&z): a real coefficient c folds with both signs into one
-factor per index (multiplying by ±1 is exact), and a coefficient with a
-nonzero imaginary part takes numpy's complex ``*=`` after that exact sign
-step.  Each term's products are scattered with one ``+=`` into a +0
-complex output (its real part for real arithmetic), in term order.  The
-cost per term scales with the support, whatever the register size; finding
-the support reads all 2**n cells once per call.  The per-term factors and
+that maps only the state's support, its nonzero cells (either part nonzero).
+The state is taken as complex128, and the support's values are gathered
+once as float64 re/im pairs that are never flipped or signed apart: one
+arithmetic for every state and coefficient.  Per term, the support indices
+k map to outputs k ^ x, and the factor at output index j is ±c = c
+(-1)^parity(x&z) (-1)^popcount(j&z): a real coefficient c folds with both
+signs into one factor per index, which scales both parts (multiplying by ±1
+is exact), and a coefficient with a nonzero imaginary part takes numpy's
+complex ``*=`` after that exact sign step.  Each term's products are
+scattered with one ``+=`` into a +0 complex output, in term order.  The cost
+per term scales with the support, whatever the register size; finding the
+support reads all 2**n cells once per call.  The per-term factors and
 indices are built on every call; nothing is cached between calls.
 
 Why this equals the index-table kernel byte for byte (the tests'
 reference gathers v[j ^ x] for every j and adds each term's complex
 product into a +0 sum).  Coefficients are finite (``PauliTerm`` rejects
 NaN and inf), so a source cell outside the support contributes
-c (±1) (±0) = ±0, in both parts of a complex product.  The sum starts at
-+0, and in round-to-nearest an addition never turns it into -0
-(x + (-x) = +0 and +0 + (-0) = +0), so adding a signed zero never changes
-it.  The contributions kept equal the reference's products up to the sign
-of a zero, which that sum absorbs; they are added in the same term order,
-and XOR is a bijection, so no index repeats within a term.
+c (±1) (±0) = ±0 in both parts, and under a real c so does the imaginary
+part of a real cell, (+0) times its factor.  The sum starts at +0, and in
+round-to-nearest an addition never turns it into -0 (x + (-x) = +0 and
++0 + (-0) = +0), so adding a signed zero never changes it.  The
+contributions kept equal the reference's products up to the sign of a
+zero, which that sum absorbs; they are added in the same term order, and
+XOR is a bijection, so no index repeats within a term.
 numpy multiplies a one-element complex array by a different formula than a
 longer one, so a one-entry support is padded with a zero neighbour.
 """
@@ -204,8 +204,8 @@ def apply_to_state(p: PauliTerm, v: np.ndarray) -> np.ndarray:
 
     out[j] = coeff * (-1)^{popcount((j ^ x) & z)} * v[j ^ x]; ``v`` may be
     real, integer or complex.  This is the one-term case of the kernel
-    described in the module docstring: past one read of ``v`` to find its
-    support, its cost scales with that support.
+    described in the module docstring: one re/im arithmetic whose cost,
+    past one read of ``v`` to find its support, scales with that support.
     """
     return _apply_terms((p,), p.n_qubits, v)
 
@@ -223,20 +223,13 @@ def _sign_vector(mask: int, index: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (parity & 1)
 
 
-def _factor(scale: float, z: int, index: np.ndarray, width: int):
-    """``scale`` times the Z sign of each output index, once per float of its cell."""
-    return np.repeat(scale * _sign_vector(z, index), width) if z else scale
-
-
 def _support(v: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero cells of ``v``; a complex cell is nonzero when either part is.
+    """Indices of the nonzero cells of the complex128 ``v``; a cell is nonzero when either part is.
 
     A function of its own so that its 2**n masks are freed before
     ``_apply_terms`` allocates its output.
     """
-    if not np.iscomplexobj(v):
-        return np.flatnonzero(v != 0)
-    parts = np.ascontiguousarray(v).view(v.real.dtype) != 0
+    parts = np.ascontiguousarray(v).view(np.float64) != 0
     return np.flatnonzero(parts.view(np.uint16) != 0)  # one uint16 per cell, nonzero when either part is
 
 
@@ -245,27 +238,24 @@ def _apply_terms(terms, n: int, v) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (1 << n,):
         raise ValueError(f"state length {v.shape} does not match 2**{n}")
+    v = v.astype(complex, copy=False)
     supp = _support(v)
     if supp.size == 1:
         supp = np.append(supp, supp ^ 1)  # see the module docstring
-    cells = v[supp]
+    vals = v[supp].view(np.float64).reshape(-1, 2)  # one re/im pair per cell
     out = np.zeros(1 << n, dtype=complex)
-    complex_coeffs = any(complex(t.coeff).imag != 0.0 for t in terms)
-    if complex_coeffs or (np.iscomplexobj(cells) and cells.imag.any()):
-        vals, width, acc = cells.astype(complex, copy=False).view(np.float64), 2, out
-    else:
-        vals, width, acc = cells.real.astype(np.float64), 1, out.real
     buf = np.empty_like(vals)
-    prod = buf.view(complex) if width == 2 else buf  # buf as cells
+    prod = buf.view(complex).reshape(-1)  # buf as cells
     for t in terms:
         c = complex(t.coeff)
         sign = -1.0 if _parity(t.x_mask & t.z_mask) else 1.0
         scale = sign if c.imag != 0.0 else sign * c.real
         idx = supp ^ t.x_mask
-        np.multiply(vals, _factor(scale, t.z_mask, idx, width), out=buf)
+        factor = (scale * _sign_vector(t.z_mask, idx))[:, None] if t.z_mask else scale
+        np.multiply(vals, factor, out=buf)
         if c.imag != 0.0:
             prod *= c
-        acc[idx] += prod
+        out[idx] += prod
     return out
 
 
@@ -323,8 +313,8 @@ class PauliSum:
         """Dense action ``sum_t t @ v`` as a complex vector, summed in term order.
 
         No matrix is built.  Only the nonzero entries of ``v`` are mapped,
-        so past one read of ``v`` to find them the cost scales with that
-        support; see the module docstring.
+        as complex128 re/im pairs, so past one read of ``v`` to find them the
+        cost scales with that support; see the module docstring.
         """
         return _apply_terms(self.terms, self.n_qubits, v)
 

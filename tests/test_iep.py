@@ -82,6 +82,22 @@ def test_retune_refuses_grid_indices_past_2_53(t):
             retune_eigenvalues(s, t)
 
 
+def _retune_spectrum(m, t):
+    return retune_eigenvalues(eigh_tridiag(m), t)
+
+
+@pytest.mark.parametrize("retune", [retune_chain, _retune_spectrum], ids=["chain", "spectrum"])
+@pytest.mark.parametrize("t,error,match", [(math.nan, ValueError, "NaN"),
+                                           (math.inf, NumericalError, r"2\*\*53")],
+                         ids=["nan", "inf"])
+def test_retune_rejects_non_finite_times(retune, t, error, match):
+    # levels -4/3, 0 and 4/3: at t = inf the zero level reads 0/0 on the grid,
+    # which the 2**53 guard must refuse as it refuses every infinite index
+    m = SymTridiag(np.zeros(3), christandl_couplings(4))
+    with pytest.raises(error, match=match):
+        retune(m, t)
+
+
 def test_retune_plan_invariants():
     chain = uniform_chain(16)
     s = eigh_tridiag(chain)
@@ -110,6 +126,17 @@ def test_reconstruct_validation():
         reconstruct_jacobi(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         reconstruct_jacobi(np.array([0.0, 1.0]), np.array([0.9, 0.3]))
+
+
+@pytest.mark.parametrize("lam,w,match", [
+    ([0.0, math.nan], [0.5, 0.5], "eigenvalue entry 1 is nan"),
+    ([-math.inf, 1.0], [0.5, 0.5], "eigenvalue entry 0 is -inf"),
+    ([0.0, 1.0], [math.nan, 0.5], "weight entry 0 is nan"),
+    ([0.0, 1.0], [0.5, math.inf], "weight entry 1 is inf"),
+], ids=["nan-eigenvalue", "inf-eigenvalue", "nan-weight", "inf-weight"])
+def test_reconstruct_rejects_non_finite_entries(lam, w, match):
+    with pytest.raises(ValueError, match=match):
+        reconstruct_jacobi(np.array(lam), np.array(w))
 
 
 @given(st.integers(0, 400), st.integers(2, 40))

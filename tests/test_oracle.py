@@ -419,6 +419,23 @@ def test_krylov_rejects_the_zero_state_after_t0():
     assert out is not zero and out.dtype == complex and not out.any()
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_krylov_rejects_non_finite_times(t):
+    h = PauliSum.from_terms([pauli_x(3, 0)])
+    with pytest.raises(ValueError, match="finite"):
+        krylov_propagate(h, np.ones(8, dtype=complex), t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_two_excitation_rejects_non_finite_times(toric3, t):
+    from memstress.transfer import christandl_couplings
+
+    lat = toric3[0]
+    dh = toric_perturbation(lat, christandl_couplings(3), np.zeros(2), 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        two_excitation_transfer(lat, 1, [0.0, t], dh)
+
+
 def _reference_circuit(circuit, amps: np.ndarray) -> np.ndarray:
     """The former per-gate index permutation: gather through j ^ target on control = 1."""
     idx = np.arange(amps.size, dtype=np.uint32)
